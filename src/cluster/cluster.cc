@@ -550,9 +550,10 @@ void Cluster::handle_exchange(SimTime now) {
     Workstation& target = *nodes_[id];
     if (target.failed()) {
       // The fail-time immediate broadcast is the node's one published
-      // transition while down: the board froze there (heaps already evicted
-      // it, aggregates exclude it), and recover_node re-syncs with another
-      // immediate broadcast — so no snapshot is built for a down node.
+      // transition while down: the board froze there (its heaps evict it at
+      // the next query, aggregates exclude it), and recover_node re-syncs
+      // with another immediate broadcast — so no snapshot is built for a
+      // down node.
       metrics::perf_add(&metrics::PerfCounters::exchange_failed_skips);
       return true;
     }

@@ -129,6 +129,7 @@ ClusterIndex::ClusterIndex(std::size_t num_nodes, Order first, Order second)
       slots_(num_nodes, 0),
       flags_(num_nodes, 0),
       live_count_(num_nodes),
+      stale_(num_nodes),
       first_(num_nodes),
       second_(num_nodes) {
   // All nodes start live with zeroed load, mirroring a fresh board/cluster.
@@ -176,15 +177,38 @@ void ClusterIndex::publish(NodeId node, const NodeState& state) {
     total_user_ += state.user;
     ++live_count_;
   }
-  // Failed and reserved nodes leave the heaps entirely — every placement scan
-  // skips both, so paying per-query filter probes for them would be waste.
-  if (state.failed || state.reserved) {
-    first_.erase(node);
-    second_.erase(node);
-  } else {
-    first_.upsert(node, key_for(first_order_, state));
-    second_.upsert(node, key_for(second_order_, state));
-  }
+  stale_.mark(node);
+}
+
+ClusterIndex::NodeState ClusterIndex::row(NodeId node) const {
+  NodeState state;
+  state.idle = idle_[node];
+  state.available = available_[node];
+  state.peak = peak_[node];
+  state.user = user_[node];
+  state.active_jobs = active_[node];
+  state.slots_used = slots_[node];
+  state.failed = failed(node);
+  state.reserved = reserved(node);
+  state.pressured = pressured(node);
+  return state;
+}
+
+void ClusterIndex::repair_heaps() const {
+  stale_.drain([this](NodeId node) {
+    // Failed and reserved nodes leave the heaps entirely — every placement
+    // scan skips both, so paying per-query filter probes for them would be
+    // waste.
+    if (failed(node) || reserved(node)) {
+      first_.erase(node);
+      second_.erase(node);
+    } else {
+      const NodeState state = row(node);
+      first_.upsert(node, key_for(first_order_, state));
+      second_.upsert(node, key_for(second_order_, state));
+    }
+    return true;
+  });
 }
 
 bool ClusterIndex::audit_verify(std::string* why) const {
@@ -192,6 +216,7 @@ bool ClusterIndex::audit_verify(std::string* why) const {
     if (why != nullptr) *why = message;
     return false;
   };
+  repair_heaps();
   const std::size_t n = size();
 
   // O(1) totals vs brute-force sums over non-failed rows.
@@ -220,19 +245,6 @@ bool ClusterIndex::audit_verify(std::string* why) const {
 
   // Heap membership must be exactly the live non-reserved set, and every
   // stored key must be key_for() of the node's current SoA row.
-  const auto row_state = [this](NodeId node) {
-    NodeState state;
-    state.idle = idle_[node];
-    state.available = available_[node];
-    state.peak = peak_[node];
-    state.user = user_[node];
-    state.active_jobs = active_[node];
-    state.slots_used = slots_[node];
-    state.failed = failed(node);
-    state.reserved = reserved(node);
-    state.pressured = pressured(node);
-    return state;
-  };
   const struct {
     const IndexedHeap& heap;
     Order order;
@@ -251,8 +263,7 @@ bool ClusterIndex::audit_verify(std::string* why) const {
             << reserved(id) << ")";
         return fail(out.str());
       }
-      if (eligible && !entry.heap.audit_key_is(id, key_for(entry.order,
-                                                           row_state(id)))) {
+      if (eligible && !entry.heap.audit_key_is(id, key_for(entry.order, row(id)))) {
         std::ostringstream out;
         out << entry.which << " heap holds a stale key for node " << id
             << " (stored key != key_for of the current row)";

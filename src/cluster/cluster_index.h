@@ -10,11 +10,14 @@
 // ClusterIndex keeps the per-node load quantities in cache-friendly parallel
 // arrays (structure-of-arrays) and maintains two IndexedHeaps over them, each
 // ordered by one of the key schemas the policies actually rank by. Heaps
-// support in-place key decrease/increase through a node -> slot position map,
-// so every publish is O(log n) and every query is exact: `best(filter)`
-// returns precisely the node the old linear scan would have picked, because
-// each key schema is a *total* order (ties broken by ascending node id, which
-// is the tie-break a first-match linear walk over node order implements).
+// support in-place key decrease/increase through a node -> slot position map.
+// A publish rewrites the row and the totals at once but only marks the node
+// stale; the next query repairs each stale node in O(log n), so a node
+// published many times between queries costs one repair. Every query is
+// exact: `best(filter)` returns precisely the node the old linear scan would
+// have picked, because each key schema is a *total* order (ties broken by
+// ascending node id, which is the tie-break a first-match linear walk over
+// node order implements) and so does not depend on the heap's layout.
 //
 // Failed and reserved workstations are evicted from both heaps instead of
 // being skipped per scan — a crashed node costs nothing at decision time, and
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/node_activity.h"
 #include "metrics/perf_counters.h"
 #include "util/units.h"
 #include "workload/job.h"
@@ -173,8 +177,9 @@ class ClusterIndex {
   ClusterIndex(std::size_t num_nodes, Order first, Order second);
 
   /// Publishes `state` for `node`: rewrites the SoA row, folds the delta into
-  /// the live totals, and repositions the node in both heaps (evicting it
-  /// when failed or reserved, reinserting when it rejoins the pool).
+  /// the live totals, and marks the node stale. The next query repositions it
+  /// in both heaps from its row (evicting it when failed or reserved,
+  /// reinserting when it rejoins the pool).
   void publish(NodeId node, const NodeState& state);
 
   std::size_t size() const { return idle_.size(); }
@@ -196,28 +201,27 @@ class ClusterIndex {
   Bytes total_user() const { return total_user_; }
   std::size_t live_count() const { return live_count_; }
 
-  // --- queries ---
+  // --- queries (each first repairs the heaps of nodes published since) ---
   template <typename Filter>
   std::optional<NodeId> best_first(Filter&& keep) const {
+    repair_heaps();
     return first_.best(keep);
   }
   template <typename Filter>
   std::optional<NodeId> best_second(Filter&& keep) const {
+    repair_heaps();
     return second_.best(keep);
   }
 
-  const IndexedHeap& first_heap() const { return first_; }
-  const IndexedHeap& second_heap() const { return second_; }
-
   // --- shadow-audit surface (DESIGN.md §13.5) ---
-  /// Full brute-force self-consistency sweep, O(n log n): the O(1) totals
-  /// must equal fresh sums over non-failed rows, heap membership must be
-  /// exactly the live non-reserved set, every stored heap key must equal
-  /// key_for() of the node's SoA row, both heaps must satisfy
-  /// audit_invariants(), and both pruned best() minima must match a linear
-  /// argmin. Compiled in every build (unit-testable); called under
-  /// -DVRC_AUDIT=ON from Cluster's tick/exchange hooks. Returns false and
-  /// describes the first inconsistency in `why` (when non-null).
+  /// Full brute-force self-consistency sweep, O(n log n), run after the same
+  /// heap repair a query performs: the O(1) totals must equal fresh sums over
+  /// non-failed rows, heap membership must be exactly the live non-reserved
+  /// set, every stored heap key must equal key_for() of the node's SoA row,
+  /// both heaps must satisfy audit_invariants(), and both pruned best() minima
+  /// must match a linear argmin. Compiled in every build (unit-testable);
+  /// called under -DVRC_AUDIT=ON from Cluster's tick/exchange hooks. Returns
+  /// false and describes the first inconsistency in `why` (when non-null).
   bool audit_verify(std::string* why) const;
 
  private:
@@ -226,6 +230,13 @@ class ClusterIndex {
   static constexpr std::uint8_t kPressuredFlag = 4;
 
   static IndexedHeap::Key key_for(Order order, const NodeState& state);
+
+  /// The state last published for `node`, read back from its SoA row.
+  NodeState row(NodeId node) const;
+
+  /// Re-keys every stale node in both heaps from its current row, or evicts
+  /// it when failed or reserved.
+  void repair_heaps() const;
 
   Order first_order_;
   Order second_order_;
@@ -244,8 +255,11 @@ class ClusterIndex {
   Bytes total_user_ = 0;
   std::size_t live_count_ = 0;
 
-  IndexedHeap first_;
-  IndexedHeap second_;
+  // Heaps are repaired lazily from const queries; mutable like
+  // IndexedHeap::scratch_ (single-threaded by design).
+  mutable DirtyNodeSet stale_;
+  mutable IndexedHeap first_;
+  mutable IndexedHeap second_;
 };
 
 }  // namespace vrc::cluster

@@ -74,12 +74,14 @@ class NodeBitset {
 };
 
 /// Deduplicated first-mutation-ordered set of nodes whose state changed since
-/// the last exchange. `mark` is O(1); `drain` visits each still-marked node
-/// once. An out-of-band publish (fail/recover broadcast) clears the flag
-/// without touching the order list — the stale list entry is dropped lazily
-/// at the next drain, and a re-mark after such a clear appends a fresh entry
-/// (board update order is value-irrelevant: aggregates are order-independent
-/// integer sums and heap queries are exact over a total order).
+/// the last drain (the next exchange for the cluster's set, the next query for
+/// a ClusterIndex's stale heap entries). `mark` is O(1); `drain` visits each
+/// still-marked node once. An out-of-band publish (fail/recover broadcast)
+/// clears the flag without touching the order list — the stale list entry is
+/// dropped lazily at the next drain, and a re-mark after such a clear appends
+/// a fresh entry (board update order is value-irrelevant: aggregates are
+/// order-independent integer sums and heap queries are exact over a total
+/// order).
 class DirtyNodeSet {
  public:
   explicit DirtyNodeSet(std::size_t num_nodes) : dirty_(num_nodes, 0) {

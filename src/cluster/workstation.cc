@@ -11,6 +11,7 @@ namespace vrc::cluster {
 Workstation::Workstation(NodeId id, const NodeConfig& hardware, const ClusterConfig& config)
     : id_(id), hardware_(hardware), config_(&config) {
   speed_factor_ = hardware_.cpu_mhz / config.reference_mhz;
+  inv_speed_ = 1.0 / speed_factor_;
   rr_efficiency_ = config.quantum / (config.quantum + config.context_switch);
 }
 
@@ -186,6 +187,15 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   const double overcommit_now = overcommit();
   const double efficiency = runnable > 1 ? rr_efficiency_ : 1.0;
   const SimTime interval_start = now - dt;
+  // Fault exposure has a knee (config.fault_exposure_knee): cyclic working
+  // sets mean that once demand exceeds user memory, LRU evicts pages just
+  // before their reuse ([6]), so even a small relative deficit exposes a
+  // large share of page touches — a big-job collision collapses the node,
+  // which is the paper's blocking episode. Node-level, so once per tick.
+  const double exposure =
+      overcommit_now <= 0.0
+          ? 0.0
+          : overcommit_now / (overcommit_now + config_->fault_exposure_knee);
 
   double tick_faults = 0.0;
   double busy_wall = 0.0;      // wall time actually spent computing or paging
@@ -219,18 +229,9 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
     if (job.width > 1) usable *= job.spec->malleability.speedup(job.width);
     // Wall seconds per reference-CPU second: compute time at this node's
     // speed plus page-fault stalls charged against the job's own turn.
-    // Fault exposure has a knee (config.fault_exposure_knee): cyclic working
-    // sets mean that once demand exceeds user memory, LRU evicts pages just
-    // before their reuse ([6]), so even a small relative deficit exposes a
-    // large share of page touches — a big-job collision collapses the node,
-    // which is the paper's blocking episode.
-    const double exposure =
-        overcommit_now <= 0.0
-            ? 0.0
-            : overcommit_now / (overcommit_now + config_->fault_exposure_knee);
     const double fault_rate_per_ref_sec = job.spec->touch_rate * exposure;
     const double stall_per_ref_sec = fault_rate_per_ref_sec * config_->page_fault_service;
-    const double wall_per_ref_sec = 1.0 / speed_factor_ + stall_per_ref_sec;
+    const double wall_per_ref_sec = inv_speed_ + stall_per_ref_sec;
     double progress = usable / wall_per_ref_sec;
     progress = std::min(progress, job.remaining_cpu());
 
@@ -288,8 +289,11 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
 
   // EMA of the fault rate with time constant fault_rate_tau.
   const double fault_rate_before = fault_rate_;
-  const double decay = std::exp(-dt / config_->fault_rate_tau);
-  fault_rate_ = fault_rate_ * decay + (1.0 - decay) * (tick_faults / dt);
+  if (dt != decay_dt_) {
+    decay_dt_ = dt;
+    decay_ = std::exp(-dt / config_->fault_rate_tau);
+  }
+  fault_rate_ = fault_rate_ * decay_ + (1.0 - decay_) * (tick_faults / dt);
   // An exponential decay never reaches zero in floating point, which would
   // keep an otherwise-idle node ticking forever just to shave the EMA. Snap
   // once the node is empty and the rate is far below any consumer's
@@ -304,7 +308,7 @@ Workstation::TickOutcome Workstation::tick(SimTime now, SimTime dt, sim::Rng& rn
   // delta, so a tick that completed nothing, shifted no memory, and left
   // the EMA bit-identical (exactly 0 stays exactly 0 without faults) would
   // republish the very values already published — that no-op dominated the
-  // tick loop at 10k nodes (one indexed upsert per active node per tick).
+  // tick loop at 10k nodes (one live-index publish per active node per tick).
   // Value-unchanged also means needs_tick() cannot have flipped, so the
   // active-set membership refresh is equally unnecessary.
   if (!outcome.completed.empty() || resident_delta != 0 ||

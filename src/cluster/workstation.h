@@ -149,7 +149,8 @@ class Workstation {
   /// Binds the cluster's live ClusterIndex; from then on the workstation
   /// republishes its row after every state mutation (job lifecycle, phase
   /// changes, incoming reservations, failure/reservation flips, ticks), so
-  /// control-path scans read an always-current indexed view.
+  /// the index's rows and totals are always current and its heaps are
+  /// repaired from those rows on the next control-path query.
   void bind_index(ClusterIndex* index);
 
   /// Binds the cluster's NodeActivity; from then on every mutation (the same
@@ -188,7 +189,12 @@ class Workstation {
   NodeConfig hardware_;
   const ClusterConfig* config_;
   double speed_factor_ = 1.0;
+  double inv_speed_ = 1.0;      // 1 / speed_factor_
   double rr_efficiency_ = 1.0;  // q / (q + c)
+  // exp(-dt / fault_rate_tau) for the last tick's dt; every tick of a run
+  // shares one dt, so the exponential is computed once.
+  SimTime decay_dt_ = -1.0;
+  double decay_ = 0.0;
 
   std::vector<std::unique_ptr<RunningJob>> jobs_;  // vrc:board-visible
   // Incrementally maintained aggregates over jobs_ (updated by add_job,

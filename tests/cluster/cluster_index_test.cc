@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/load_index.h"
+#include "metrics/perf_counters.h"
 #include "sim/rng.h"
 #include "util/units.h"
 
@@ -304,6 +307,166 @@ TEST(ClusterIndexPropertyTest, ReservationAndOraclePicksMatchLinearScan) {
           << "nodes=" << nodes << " trial=" << trial;
     }
   }
+}
+
+// --- lazy repair: publish marks a node stale, the next query re-keys it ---
+
+using Order = ClusterIndex::Order;
+
+/// Pick of a verbatim first-match linear scan for `order` over live,
+/// unreserved rows other than `exclude`. Strict comparisons keep the first
+/// (lowest) node id on ties.
+std::optional<NodeId> linear_best(Order order, const std::vector<ClusterIndex::NodeState>& rows,
+                                  NodeId exclude) {
+  std::optional<NodeId> best;
+  for (NodeId n = 0; n < rows.size(); ++n) {
+    const auto& s = rows[n];
+    if (s.failed || s.reserved || n == exclude) continue;
+    if (!best) {
+      best = n;
+      continue;
+    }
+    const auto& b = rows[*best];
+    bool better = false;
+    switch (order) {
+      case Order::kMinSlotsMaxIdle:
+        better = s.slots_used < b.slots_used || (s.slots_used == b.slots_used && s.idle > b.idle);
+        break;
+      case Order::kMaxIdle:
+        better = s.idle > b.idle;
+        break;
+      case Order::kMaxIdleMinJobs:
+        better = s.idle > b.idle || (s.idle == b.idle && s.active_jobs < b.active_jobs);
+        break;
+      case Order::kMinPeak:
+        better = s.peak < b.peak;
+        break;
+    }
+    if (better) best = n;
+  }
+  return best;
+}
+
+ClusterIndex::NodeState random_state(sim::Rng& rng) {
+  // Coarse values so equal keys (and hence id tie-breaks) are common.
+  ClusterIndex::NodeState state;
+  state.idle = megabytes(8.0 * static_cast<double>(rng.uniform_index(40)));
+  state.available = megabytes(8.0 * static_cast<double>(rng.uniform_index(40)));
+  state.peak = megabytes(16.0 * static_cast<double>(rng.uniform_index(30)));
+  state.user = megabytes(368);
+  state.active_jobs = static_cast<int>(rng.uniform_index(6));
+  state.slots_used = state.active_jobs + static_cast<int>(rng.uniform_index(2));
+  state.failed = rng.uniform() < 0.1;
+  state.reserved = rng.uniform() < 0.1;
+  state.pressured = rng.uniform() < 0.2;
+  return state;
+}
+
+/// The O(1) totals must equal fresh sums over non-failed rows.
+void expect_totals_match_rows(const ClusterIndex& index,
+                              const std::vector<ClusterIndex::NodeState>& rows) {
+  Bytes idle = 0;
+  Bytes available = 0;
+  Bytes user = 0;
+  std::size_t live = 0;
+  for (const auto& s : rows) {
+    if (s.failed) continue;
+    idle += s.idle;
+    available += s.available;
+    user += s.user;
+    ++live;
+  }
+  EXPECT_EQ(index.total_idle(), idle);
+  EXPECT_EQ(index.total_available(), available);
+  EXPECT_EQ(index.total_user(), user);
+  EXPECT_EQ(index.live_count(), live);
+}
+
+TEST(ClusterIndexLazyRepairTest, PublishBurstsBetweenQueriesMatchLinearScan) {
+  sim::Rng rng(17);
+  const std::pair<Order, Order> schemas[] = {{Order::kMinSlotsMaxIdle, Order::kMaxIdle},
+                                             {Order::kMaxIdleMinJobs, Order::kMinPeak}};
+  for (const auto& [first, second] : schemas) {
+    for (std::size_t nodes = 32; nodes <= 512; nodes *= 2) {
+      ClusterIndex index(nodes, first, second);
+      std::vector<ClusterIndex::NodeState> mirror(nodes);
+      const auto publish = [&](NodeId node, const ClusterIndex::NodeState& state) {
+        index.publish(node, state);
+        mirror[node] = state;
+        // Totals are eager: exact after every publish, with no query between.
+        SCOPED_TRACE(testing::Message() << "nodes=" << nodes << " node=" << node);
+        expect_totals_match_rows(index, mirror);
+      };
+      for (int trial = 0; trial < 120; ++trial) {
+        const std::size_t burst = 1 + rng.uniform_index(8);
+        for (std::size_t b = 0; b < burst; ++b) {
+          const NodeId node = static_cast<NodeId>(rng.uniform_index(nodes));
+          const double pick = rng.uniform();
+          if (pick < 0.4) {
+            // The same node several times: only its last row may count.
+            const std::size_t repeats = 2 + rng.uniform_index(4);
+            for (std::size_t r = 0; r < repeats; ++r) publish(node, random_state(rng));
+          } else if (pick < 0.7) {
+            // fail -> recover -> reserve -> unreserve, all before any query.
+            ClusterIndex::NodeState state = mirror[node];
+            state.failed = true;
+            publish(node, state);
+            state.failed = false;
+            publish(node, state);
+            state.reserved = true;
+            publish(node, state);
+            state.reserved = false;
+            publish(node, state);
+          } else {
+            publish(node, random_state(rng));
+          }
+        }
+        if (trial % 4 == 0) {
+          // The sweep runs with repairs still pending.
+          std::string why;
+          EXPECT_TRUE(index.audit_verify(&why)) << why << " nodes=" << nodes << " trial=" << trial;
+        }
+        const NodeId exclude = static_cast<NodeId>(rng.uniform_index(nodes));
+        const auto keep = [&](NodeId n) { return n != exclude; };
+        // Alternate which heap's query performs the repair.
+        if (trial % 2 == 0) {
+          EXPECT_EQ(index.best_first(keep), linear_best(first, mirror, exclude))
+              << "nodes=" << nodes << " trial=" << trial;
+          EXPECT_EQ(index.best_second(keep), linear_best(second, mirror, exclude))
+              << "nodes=" << nodes << " trial=" << trial;
+        } else {
+          EXPECT_EQ(index.best_second(keep), linear_best(second, mirror, exclude))
+              << "nodes=" << nodes << " trial=" << trial;
+          EXPECT_EQ(index.best_first(keep), linear_best(first, mirror, exclude))
+              << "nodes=" << nodes << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(ClusterIndexLazyRepairTest, RepeatedPublishesOfOneNodeCostOneRepair) {
+  metrics::set_perf_capture_enabled(true);
+  (void)metrics::take_perf_aggregate();
+  for (const int publishes : {1, 7, 64}) {
+    ClusterIndex index(64, Order::kMaxIdleMinJobs, Order::kMinPeak);
+    {
+      metrics::ScopedPerfCapture capture;
+      ClusterIndex::NodeState state;
+      for (int k = 0; k < publishes; ++k) {
+        state.idle = megabytes(static_cast<double>(k + 1));
+        state.peak = megabytes(static_cast<double>(k + 1));
+        index.publish(9, state);
+      }
+      EXPECT_EQ(*index.best_first([](NodeId) { return true; }), 9u);
+      // Nothing published since: no further repair.
+      EXPECT_EQ(*index.best_second([](NodeId) { return true; }), 0u);
+    }
+    const metrics::PerfCounters counters = metrics::take_perf_aggregate();
+    EXPECT_EQ(counters.heap_upserts, 2u) << "publishes=" << publishes;
+    EXPECT_EQ(counters.heap_erases, 0u) << "publishes=" << publishes;
+  }
+  metrics::set_perf_capture_enabled(false);
 }
 
 }  // namespace
