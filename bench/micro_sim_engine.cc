@@ -181,8 +181,8 @@ void BM_EndToEndSmallRun(benchmark::State& state) {
   const auto trace = workload::generate_trace(params);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   for (auto _ : state) {
-    auto report = core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
-    benchmark::DoNotOptimize(report.total_execution);
+    auto report = core::run_policy_on_trace(core::PolicySpec("v-reconf"), trace, config);
+    benchmark::DoNotOptimize(report->total_execution);
   }
 }
 BENCHMARK(BM_EndToEndSmallRun)->Unit(benchmark::kMillisecond);
@@ -208,9 +208,8 @@ void BM_EndToEndFaultedRun(benchmark::State& state) {
   options.fault_entries = {{1, 50.0, 20.0}};
   options.max_sim_time = 50000.0;
   for (auto _ : state) {
-    auto report =
-        core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config, options);
-    benchmark::DoNotOptimize(report.total_execution);
+    auto report = core::run_policy_on_trace(core::PolicySpec("v-reconf"), trace, config, options);
+    benchmark::DoNotOptimize(report->total_execution);
   }
 }
 BENCHMARK(BM_EndToEndFaultedRun)->Unit(benchmark::kMillisecond);
@@ -251,12 +250,12 @@ void BM_EndToEndLargeRun(benchmark::State& state) {
   config.load_exchange_period = 5.0; // a 10k-node board refresh is O(n log n)
 
   for (auto _ : state) {
-    auto report = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
-    if (report.jobs_completed != jobs) {
+    auto report = core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config);
+    if (!report || report->jobs_completed != jobs) {
       state.SkipWithError("large run did not drain");
       break;
     }
-    benchmark::DoNotOptimize(report.total_execution);
+    benchmark::DoNotOptimize(report->total_execution);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs));
 }
@@ -427,13 +426,11 @@ BENCHMARK(BM_MalleableEndToEnd)
     ->Unit(benchmark::kMillisecond);
 
 // Streamed end-to-end run: the standard trace-3 shape (578 SPEC jobs,
-// ~3581 s, 32 nodes) driven through Cluster::submit_source with a
-// GeneratedStreamSource instead of a materialized Trace. Arg(0) runs the
-// materialized baseline on the identical shape, Arg(1) the streamed pump;
-// the delta between the two rows is the pump's per-job overhead (one
-// lookahead event plus free-list recycling) — it should be noise-level,
-// while peak live JobSpec storage drops from O(total jobs) to
-// O(concurrent jobs).
+// ~3581 s, 32 nodes) pumped through Cluster::submit_source. Arg(0) pumps a
+// pre-built Trace through a MaterializedTraceSource, Arg(1) a
+// GeneratedStreamSource that draws each job on the fly; the delta between
+// the two rows is the cost of generating jobs inside the run instead of
+// before it — it should be noise-level.
 void BM_StreamingArrivals(benchmark::State& state) {
   using namespace vrc;
   const bool streamed = state.range(0) != 0;

@@ -4,6 +4,7 @@
 //
 //   ./quickstart [--trace N] [--nodes N] [--group spec|apps]
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "core/experiment.h"
@@ -40,9 +41,15 @@ int main(int argc, char** argv) {
   std::printf("Trace %s: %zu jobs over %.0f s on %d workstations\n", trace.name().c_str(),
               trace.size(), trace.duration(), nodes);
 
-  const vrc::core::Comparison cmp = vrc::core::compare_policies(
-      vrc::core::PolicyKind::kGLoadSharing, vrc::core::PolicyKind::kVReconfiguration, trace,
-      config);
+  std::string error;
+  const std::optional<vrc::core::Comparison> result =
+      vrc::core::compare_policies(vrc::core::PolicySpec("g-loadsharing"),
+                                  vrc::core::PolicySpec("v-reconf"), trace, config, {}, &error);
+  if (!result) {
+    std::fprintf(stderr, "quickstart: %s\n", error.c_str());
+    return 1;
+  }
+  const vrc::core::Comparison& cmp = *result;
 
   vrc::util::Table table({"metric", "G-Loadsharing", "V-Reconfiguration", "reduction"});
   using vrc::util::Table;

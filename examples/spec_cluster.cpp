@@ -45,10 +45,9 @@ int main(int argc, char** argv) {
   using vrc::util::Table;
   Table table({"policy", "T_exe (s)", "T_cpu (s)", "T_page (s)", "T_que (s)", "T_mig (s)",
                "avg slowdown", "makespan (s)"});
-  for (auto kind :
-       {vrc::core::PolicyKind::kLocalOnly, vrc::core::PolicyKind::kGLoadSharing,
-        vrc::core::PolicyKind::kSuspension, vrc::core::PolicyKind::kVReconfiguration}) {
-    const auto report = vrc::core::run_policy_on_trace(kind, trace, config);
+  for (const char* policy : {"local-only", "g-loadsharing", "suspension", "v-reconf"}) {
+    const auto report =
+        vrc::core::run_policy_on_trace(vrc::core::PolicySpec(policy), trace, config).value();
     table.add_row({report.policy, Table::fmt(report.total_execution, 0),
                    Table::fmt(report.total_cpu, 0), Table::fmt(report.total_page, 0),
                    Table::fmt(report.total_queue, 0), Table::fmt(report.total_migration, 0),

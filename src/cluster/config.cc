@@ -107,6 +107,15 @@ bool set_duration(const std::string& value, SimTime* out, std::string* expected)
   return true;
 }
 
+/// Narrows a parsed value to > 0: false + `example` in *expected otherwise.
+/// Zero periods never advance simulated time and zero speeds or bandwidths
+/// are divided by, so those keys reject them here.
+bool require_positive(double parsed, const char* example, std::string* expected) {
+  if (parsed > 0.0) return true;
+  *expected = example;
+  return false;
+}
+
 /// Applies one `node.<i>.<field>` / `node.*.<field>` override to `config`.
 bool apply_node_override(ClusterConfig& config, const std::string& key,
                          const std::string& value, std::string* error) {
@@ -202,7 +211,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
         updated.nodes.assign(static_cast<std::size_t>(count), updated.nodes[0]);
       }
     } else if (key == "reference_mhz") {
-      ok = set_double(value, &updated.reference_mhz, &expected);
+      ok = set_double(value, &updated.reference_mhz, &expected) &&
+           require_positive(updated.reference_mhz, "positive double, e.g. 400", &expected);
     } else if (key == "page_size") {
       ok = set_bytes(value, &updated.page_size, &expected);
     } else if (key == "page_fault_service") {
@@ -210,11 +220,14 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     } else if (key == "context_switch") {
       ok = set_duration(value, &updated.context_switch, &expected);
     } else if (key == "quantum") {
-      ok = set_duration(value, &updated.quantum, &expected);
+      ok = set_duration(value, &updated.quantum, &expected) &&
+           require_positive(updated.quantum, "positive duration, e.g. 100ms", &expected);
     } else if (key == "tick") {
-      ok = set_duration(value, &updated.tick, &expected);
+      ok = set_duration(value, &updated.tick, &expected) &&
+           require_positive(updated.tick, "positive duration, e.g. 10ms", &expected);
     } else if (key == "network_mbps") {
-      ok = set_double(value, &updated.network_mbps, &expected);
+      ok = set_double(value, &updated.network_mbps, &expected) &&
+           require_positive(updated.network_mbps, "positive double, e.g. 10", &expected);
     } else if (key == "remote_submit_cost") {
       ok = set_duration(value, &updated.remote_submit_cost, &expected);
     } else if (key == "network_contention") {
@@ -230,9 +243,12 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     } else if (key == "fault_rate_tau") {
       ok = set_duration(value, &updated.fault_rate_tau, &expected);
     } else if (key == "load_exchange_period") {
-      ok = set_duration(value, &updated.load_exchange_period, &expected);
+      ok = set_duration(value, &updated.load_exchange_period, &expected) &&
+           require_positive(updated.load_exchange_period, "positive duration, e.g. 1s",
+                            &expected);
     } else if (key == "policy_period") {
-      ok = set_duration(value, &updated.policy_period, &expected);
+      ok = set_duration(value, &updated.policy_period, &expected) &&
+           require_positive(updated.policy_period, "positive duration, e.g. 1s", &expected);
     } else if (key == "pressure_callback_interval") {
       ok = set_duration(value, &updated.pressure_callback_interval, &expected);
     } else if (key == "migration_cooldown") {
@@ -268,11 +284,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
         expected = "non-negative duration, e.g. 2000s (0 disables)";
       }
     } else if (key == "fault.mttr") {
-      ok = set_duration(value, &updated.fault_mttr, &expected);
-      if (ok && updated.fault_mttr <= 0.0) {
-        ok = false;
-        expected = "positive duration, e.g. 60s";
-      }
+      ok = set_duration(value, &updated.fault_mttr, &expected) &&
+           require_positive(updated.fault_mttr, "positive duration, e.g. 60s", &expected);
     } else if (key == "fault.seed") {
       ok = set_uint64(value, &updated.fault_seed, &expected);
     } else if (key == "fault.restart") {

@@ -27,9 +27,9 @@ enum class JobPhase {
 /// Workstation (running).
 struct RunningJob {
   const workload::JobSpec* spec = nullptr;
-  /// Non-null when `spec` lives in the cluster's streamed-spec slab
-  /// (Cluster::submit_source): the slot is recycled at completion.
-  workload::JobSpec* stream_slot = nullptr;
+  /// Mutable view of `spec`'s slot in the cluster's spec slab, recycled at
+  /// completion. Set for every job the cluster admits.
+  workload::JobSpec* spec_slot = nullptr;
   JobPhase phase = JobPhase::kPending;
   NodeId node = workload::kInvalidNode;  // current / destination workstation
   /// Home workstation, wrapped into this cluster's node range (a trace may

@@ -48,7 +48,7 @@ bool parse_uint64(const std::string& value, std::uint64_t* out) {
 }
 
 constexpr const char* kKnownDirectives =
-    "trace, policy, cluster, nodes, set, fault, stream, malleable, trials, "
+    "trace, policy, cluster, nodes, set, fault, malleable, trials, "
     "base_seed, sampling_interval, max_sim_time";
 
 }  // namespace
@@ -183,16 +183,6 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
                   "for=60)");
     }
     faults.push_back(entry);
-    return true;
-  }
-  if (directive == "stream") {
-    if (arg == "on") {
-      stream = true;
-    } else if (arg == "off") {
-      stream = false;
-    } else {
-      return fail(error, "stream '" + arg + "' unknown (expected on or off)");
-    }
     return true;
   }
   if (directive == "malleable") {
@@ -374,10 +364,10 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
   grid.experiment.max_sim_time = spec.max_sim_time;
   grid.experiment.fault_entries = spec.faults;
 
-  // SWF logs are read per cell (or materialized below); validate each one
-  // end to end here so an unreadable or malformed file surfaces as one clean
-  // error before any cell runs — a streamed source throwing mid-pump on a
-  // worker thread would otherwise tear down the whole sweep.
+  // SWF logs are read per cell; validate each one end to end here so an
+  // unreadable or malformed file surfaces as one clean error before any cell
+  // runs — a source throwing mid-pump on a worker thread would otherwise
+  // tear down the whole sweep.
   for (const workload::TraceSpec& trace : spec.traces) {
     if (!trace.is_swf()) continue;
     try {
@@ -415,18 +405,7 @@ std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error) {
         }
         varied.seed = effective + static_cast<std::uint64_t>(trial);
       }
-      if (spec.stream) {
-        grid.traces.push_back(SweepTrace::streaming(std::move(varied), default_nodes));
-      } else {
-        try {
-          grid.traces.push_back(SweepTrace(varied.build(default_nodes)));
-        } catch (const std::exception& e) {
-          // A malformed SWF body (the open check above only covers
-          // readability) surfaces as a recoverable error, not a throw.
-          fail(error, "trace spec '" + varied.print() + "': " + e.what());
-          return std::nullopt;
-        }
-      }
+      grid.traces.push_back(SweepTrace::from_spec(std::move(varied), default_nodes));
     }
   }
   return grid;

@@ -18,7 +18,7 @@
 //
 // Determinism contract: a scenario naming today's defaults (standard trace,
 // default-param policies, trials=1, no overrides) produces byte-identical
-// reports to the legacy enum-based SweepGrid path.
+// reports to a hand-built SweepGrid over the same materialized traces.
 #pragma once
 
 #include <cstdint>
@@ -51,12 +51,6 @@ struct ScenarioSpec {
   /// applied identically to every cell; the stochastic generator is
   /// configured separately via `set fault.mtbf=...` (DESIGN.md §10).
   std::vector<faults::FaultEntry> faults;
-  /// Streaming mode (`stream on`): every cell pumps its workload through a
-  /// pull-based ArrivalSource (Cluster::submit_source) instead of
-  /// materializing the whole trace up front. Generated workloads produce
-  /// fingerprint-identical results either way (the streamed source replays
-  /// the identical RNG stream); memory stays O(concurrent jobs) per cell.
-  bool stream = false;
   /// Malleable mode (`malleable on`): every generated trace that does not
   /// carry its own malleable= fraction is built with malleable jobs
   /// (fraction 1, widths [1, 2]) so the width-reconfiguration levers have
@@ -115,9 +109,10 @@ struct ScenarioRun {
   const CellResult& cell(int trial, std::size_t trace, std::size_t policy) const;
 };
 
-/// Materializes the scenario into a SweepGrid: builds every trace (trial
-/// expansion on the trace axis), resolves the cluster, applies config
-/// overrides, and validates every policy spec against the registry. Returns
+/// Materializes the scenario into a SweepGrid: emits one TraceSpec entry per
+/// (trial, trace) (each cell builds its own source from it), resolves the
+/// cluster, applies config overrides, validates every policy spec against
+/// the registry, and reads every SWF log once end to end. Returns
 /// std::nullopt + *error on any invalid piece — nothing throws, so drivers
 /// can report the message and exit cleanly.
 std::optional<SweepGrid> to_grid(const ScenarioSpec& spec, std::string* error = nullptr);

@@ -8,8 +8,8 @@
 // O(concurrent jobs) instead of O(total trace length).
 //
 // Three implementations:
-//   MaterializedTraceSource  — adapter over an existing Trace; the bit-exact
-//                              compatibility path for every current workload.
+//   MaterializedTraceSource  — adapter over an existing Trace; how a
+//                              materialized trace enters a run.
 //   GeneratedStreamSource    — produces the same jobs as generate_trace on
 //                              the fly from TraceParams using the identical
 //                              RNG stream (fingerprint-golden-equal to the
@@ -56,8 +56,8 @@ class ArrivalSource {
 };
 
 /// Adapter over a materialized Trace: streams its (already sorted) jobs in
-/// order. The compatibility path — pumping this source produces the same run
-/// as Cluster::submit_trace on the same trace.
+/// order. core::run_policy_on_trace wraps its trace in one, so a Trace and
+/// any other source reach the cluster through the same pump.
 class MaterializedTraceSource : public ArrivalSource {
  public:
   explicit MaterializedTraceSource(Trace trace) : trace_(std::move(trace)) {}

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "workload/trace.h"
+#include "workload/arrival_source.h"
 
 namespace vrc::cluster {
 namespace {
@@ -348,12 +348,39 @@ TEST(ClusterTest, SubmitTraceSchedulesAllJobs) {
   for (JobId i = 1; i <= 5; ++i) {
     specs.push_back(make_spec(i, static_cast<double>(i), 0.5, megabytes(10), i % 4));
   }
-  workload::Trace trace("t", workload::WorkloadGroup::kSpec, 10.0, specs);
-  cluster.submit_trace(trace);
-  EXPECT_EQ(cluster.submitted_count(), 5u);
+  workload::MaterializedTraceSource source(
+      workload::Trace("t", workload::WorkloadGroup::kSpec, 10.0, specs));
+  cluster.submit_source(source);
+  EXPECT_TRUE(cluster.streaming());
   sim.run_until(1000.0);
+  EXPECT_FALSE(cluster.streaming());
+  EXPECT_EQ(cluster.submitted_count(), 5u);
   EXPECT_EQ(cluster.completed().size(), 5u);
   EXPECT_TRUE(cluster.finished());
+}
+
+TEST(ClusterTest, SubmitJobSpecsAreRecycled) {
+  // submit_job stores specs in the same slab the pump uses: waves injected
+  // after earlier ones complete reuse the freed slots, so the high-water
+  // mark is the largest wave, not the total.
+  sim::Simulator sim;
+  ScriptedPolicy policy;
+  Cluster cluster(sim, small_config(), policy);
+  JobId next_id = 1;
+  std::size_t total = 0;
+  for (const std::size_t wave : {3u, 5u, 2u, 4u}) {
+    const SimTime start = sim.now() + 1.0;
+    for (std::size_t i = 0; i < wave; ++i) {
+      cluster.submit_job(make_spec(next_id++, start, 0.5, megabytes(10), i % 4));
+    }
+    total += wave;
+    EXPECT_EQ(cluster.live_specs(), wave);
+    sim.run();
+    ASSERT_EQ(cluster.completed().size(), total);
+    EXPECT_EQ(cluster.live_specs(), 0u);
+  }
+  EXPECT_EQ(cluster.peak_live_specs(), 5u);
+  EXPECT_EQ(cluster.submitted_count(), total);
 }
 
 TEST(ClusterTest, FinishCallbackFiresOnce) {

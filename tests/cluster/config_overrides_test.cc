@@ -99,6 +99,39 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
   EXPECT_NE(error.find("positive int"), std::string::npos) << error;
 }
 
+// Periods that must advance simulated time and speeds/bandwidths that are
+// divided by: zero or negative values are rejected up front instead of
+// hanging the run (tick, periods, quantum) or corrupting its accounting
+// (reference_mhz, network_mbps).
+class PositiveOverrideTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PositiveOverrideTest, ZeroAndNegativeAreRejected) {
+  const std::string& key = GetParam();
+  const ClusterConfig before = ClusterConfig::paper_cluster1(4);
+  for (const char* value : {"0", "-1"}) {
+    ClusterConfig config = before;
+    std::string error;
+    EXPECT_FALSE(config.apply_overrides({{key, value}}, &error)) << key << '=' << value;
+    EXPECT_NE(error.find("config override '" + key + "': invalid value '" + value + "'"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(config.tick, before.tick);
+    EXPECT_EQ(config.reference_mhz, before.reference_mhz);
+  }
+  ClusterConfig config = before;
+  std::string error;
+  EXPECT_FALSE(config.apply_overrides({{key, "0"}}, &error));
+  EXPECT_NE(error.find("(expected positive "), std::string::npos) << error;
+  EXPECT_TRUE(config.apply_overrides({{key, "2"}}, &error)) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(DegenerateValues, PositiveOverrideTest,
+                         ::testing::Values("tick", "load_exchange_period", "policy_period",
+                                           "quantum", "reference_mhz", "network_mbps"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
 TEST(ApplyOverridesTest, BadNodeKeysAreRejectedPrecisely) {
   ClusterConfig config = ClusterConfig::paper_cluster1(4);
   std::string error;

@@ -1,5 +1,8 @@
 #include "core/experiment.h"
 
+#include <string>
+#include <utility>
+
 #include "workload/trace_generator.h"
 
 #include <gtest/gtest.h>
@@ -19,15 +22,14 @@ workload::Trace tiny_trace(std::size_t jobs, workload::WorkloadGroup group) {
 }
 
 TEST(ExperimentTest, PolicyNamesRoundTrip) {
-  EXPECT_STREQ(to_string(PolicyKind::kGLoadSharing), "G-Loadsharing");
-  EXPECT_STREQ(to_string(PolicyKind::kVReconfiguration), "V-Reconfiguration");
-  EXPECT_STREQ(to_string(PolicyKind::kLocalOnly), "Local-Only");
-  EXPECT_STREQ(to_string(PolicyKind::kSuspension), "Job-Suspension");
-  for (PolicyKind kind : {PolicyKind::kGLoadSharing, PolicyKind::kVReconfiguration,
-                          PolicyKind::kLocalOnly, PolicyKind::kSuspension}) {
-    auto policy = make_policy(kind);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_STREQ(policy->name(), to_string(kind));
+  const std::pair<const char*, const char*> names[] = {{"g-loadsharing", "G-Loadsharing"},
+                                                       {"v-reconf", "V-Reconfiguration"},
+                                                       {"local-only", "Local-Only"},
+                                                       {"suspension", "Job-Suspension"}};
+  for (const auto& [spec, display] : names) {
+    auto policy = make_policy(PolicySpec(spec), nullptr);
+    ASSERT_NE(policy, nullptr) << spec;
+    EXPECT_STREQ(policy->name(), display);
   }
 }
 
@@ -45,7 +47,7 @@ TEST(ExperimentTest, PaperClusterSelection) {
 TEST(ExperimentTest, RunCompletesAllJobs) {
   const auto trace = tiny_trace(20, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto report = run_policy_on_trace(PolicyKind::kGLoadSharing, trace, config);
+  const auto report = run_policy_on_trace(PolicySpec("g-loadsharing"), trace, config).value();
   EXPECT_EQ(report.jobs_submitted, 20u);
   EXPECT_EQ(report.jobs_completed, 20u);
   EXPECT_EQ(report.policy, "G-Loadsharing");
@@ -58,7 +60,7 @@ TEST(ExperimentTest, RunCompletesAllJobs) {
 TEST(ExperimentTest, ReportBreakdownSumsToExecution) {
   const auto trace = tiny_trace(25, workload::WorkloadGroup::kApps);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kApps, 4);
-  const auto report = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
+  const auto report = run_policy_on_trace(PolicySpec("v-reconf"), trace, config).value();
   EXPECT_NEAR(report.total_cpu + report.total_page + report.total_queue + report.total_migration,
               report.total_execution, 0.05 * static_cast<double>(report.jobs_completed));
 }
@@ -66,8 +68,8 @@ TEST(ExperimentTest, ReportBreakdownSumsToExecution) {
 TEST(ExperimentTest, DeterministicAcrossRuns) {
   const auto trace = tiny_trace(15, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto a = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
-  const auto b = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
+  const auto a = run_policy_on_trace(PolicySpec("v-reconf"), trace, config).value();
+  const auto b = run_policy_on_trace(PolicySpec("v-reconf"), trace, config).value();
   EXPECT_EQ(a.total_execution, b.total_execution);
   EXPECT_EQ(a.avg_slowdown, b.avg_slowdown);
   EXPECT_EQ(a.migrations, b.migrations);
@@ -79,7 +81,7 @@ TEST(ExperimentTest, MaxSimTimeCapsRun) {
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 1);
   ExperimentOptions options;
   options.max_sim_time = 5.0;  // far too short
-  const auto report = run_policy_on_trace(PolicyKind::kLocalOnly, trace, config, options);
+  const auto report = run_policy_on_trace(PolicySpec("local-only"), trace, config, options).value();
   EXPECT_LT(report.jobs_completed, report.jobs_submitted);
 }
 
@@ -87,7 +89,8 @@ TEST(ExperimentTest, ComparisonComputesReductions) {
   const auto trace = tiny_trace(30, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   const auto comparison =
-      compare_policies(PolicyKind::kLocalOnly, PolicyKind::kGLoadSharing, trace, config);
+      compare_policies(PolicySpec("local-only"), PolicySpec("g-loadsharing"), trace, config)
+          .value();
   EXPECT_EQ(comparison.baseline.policy, "Local-Only");
   EXPECT_EQ(comparison.ours.policy, "G-Loadsharing");
   const double expected = metrics::reduction(comparison.baseline.total_execution,
@@ -95,12 +98,32 @@ TEST(ExperimentTest, ComparisonComputesReductions) {
   EXPECT_DOUBLE_EQ(comparison.execution_reduction(), expected);
 }
 
+TEST(ExperimentTest, ComparisonReportsUnknownPolicyLikeRunPolicyOnSource) {
+  const auto trace = tiny_trace(5, workload::WorkloadGroup::kSpec);
+  const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
+  std::string direct;
+  workload::MaterializedTraceSource source(trace);
+  EXPECT_FALSE(run_policy_on_source(PolicySpec("no-such-policy"), source, config, {}, &direct));
+  ASSERT_FALSE(direct.empty());
+  for (const bool baseline_unknown : {true, false}) {
+    std::string error;
+    const PolicySpec known("g-loadsharing");
+    const PolicySpec unknown("no-such-policy");
+    const auto comparison = compare_policies(baseline_unknown ? unknown : known,
+                                             baseline_unknown ? known : unknown, trace, config,
+                                             {}, &error);
+    EXPECT_FALSE(comparison.has_value());
+    EXPECT_EQ(error, direct);
+  }
+}
+
 TEST(ExperimentTest, MultipleSamplingIntervalsReported) {
   const auto trace = tiny_trace(20, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
   ExperimentOptions options;
   options.collector.sampling_intervals = {1.0, 10.0, 30.0};
-  const auto report = run_policy_on_trace(PolicyKind::kGLoadSharing, trace, config, options);
+  const auto report =
+      run_policy_on_trace(PolicySpec("g-loadsharing"), trace, config, options).value();
   ASSERT_EQ(report.idle_memory_mb.size(), 3u);
   ASSERT_EQ(report.balance_skew.size(), 3u);
   EXPECT_EQ(report.idle_memory_mb[0].interval, 1.0);
@@ -113,7 +136,7 @@ TEST(ExperimentTest, MultipleSamplingIntervalsReported) {
 TEST(ExperimentTest, PolicyStatsLandInReport) {
   const auto trace = tiny_trace(20, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 4);
-  const auto report = run_policy_on_trace(PolicyKind::kVReconfiguration, trace, config);
+  const auto report = run_policy_on_trace(PolicySpec("v-reconf"), trace, config).value();
   EXPECT_FALSE(report.policy_stats.empty());
 }
 
@@ -123,19 +146,20 @@ TEST(ExperimentTest, PolicyStatsLandInReport) {
 TEST(ExperimentTest, ReusedPolicyObjectDoesNotCarryStatsOver) {
   const auto trace = tiny_trace(40, workload::WorkloadGroup::kSpec);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 2);
-  for (PolicyKind kind : {PolicyKind::kGLoadSharing, PolicyKind::kVReconfiguration,
-                          PolicyKind::kSuspension}) {
-    auto policy = make_policy(kind);
-    const auto first = run_experiment(trace, config, *policy);
-    const auto second = run_experiment(trace, config, *policy);
+  for (const char* name : {"g-loadsharing", "v-reconf", "suspension"}) {
+    auto policy = make_policy(PolicySpec(name), nullptr);
+    workload::MaterializedTraceSource first_source(trace);
+    workload::MaterializedTraceSource second_source(trace);
+    const auto first = run_experiment(first_source, config, *policy);
+    const auto second = run_experiment(second_source, config, *policy);
     ASSERT_EQ(first.policy_stats.size(), second.policy_stats.size());
     for (std::size_t i = 0; i < first.policy_stats.size(); ++i) {
       EXPECT_EQ(first.policy_stats[i].first, second.policy_stats[i].first);
       EXPECT_DOUBLE_EQ(first.policy_stats[i].second, second.policy_stats[i].second)
-          << to_string(kind) << " stat " << first.policy_stats[i].first
+          << name << " stat " << first.policy_stats[i].first
           << " accumulated across runs";
     }
-    EXPECT_EQ(first.total_execution, second.total_execution) << to_string(kind);
+    EXPECT_EQ(first.total_execution, second.total_execution) << name;
   }
 }
 

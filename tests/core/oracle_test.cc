@@ -67,8 +67,8 @@ TEST(OracleDemandsTest, AtLeastMatchesBaselinePagingOnRealWorkload) {
   params.seed = 77;
   const auto trace = workload::generate_trace(params);
   const auto config = paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto baseline = run_policy_on_trace(PolicyKind::kGLoadSharing, trace, config);
-  const auto oracle = run_policy_on_trace(PolicyKind::kOracleDemands, trace, config);
+  const auto baseline = run_policy_on_trace(PolicySpec("g-loadsharing"), trace, config).value();
+  const auto oracle = run_policy_on_trace(PolicySpec("oracle"), trace, config).value();
   EXPECT_EQ(oracle.jobs_completed, oracle.jobs_submitted);
   // Perfect demand knowledge eliminates (almost) all paging.
   EXPECT_LE(oracle.total_page, baseline.total_page);
@@ -76,10 +76,9 @@ TEST(OracleDemandsTest, AtLeastMatchesBaselinePagingOnRealWorkload) {
 }
 
 TEST(OracleDemandsTest, RegisteredInPolicyFactory) {
-  auto policy = make_policy(PolicyKind::kOracleDemands);
+  auto policy = make_policy(PolicySpec("oracle"), nullptr);
   ASSERT_NE(policy, nullptr);
   EXPECT_STREQ(policy->name(), "Oracle-Demands");
-  EXPECT_STREQ(to_string(PolicyKind::kOracleDemands), "Oracle-Demands");
 }
 
 }  // namespace

@@ -312,7 +312,8 @@ TEST(FaultInjectionTest, SameSeedRunsWithFaultsAreBitIdentical) {
 
   auto run_once = [&] {
     core::GLoadSharing policy;
-    return core::run_experiment(trace, config, policy, options);
+    workload::MaterializedTraceSource source(trace);
+    return core::run_experiment(source, config, policy, options);
   };
   const metrics::RunReport a = run_once();
   const metrics::RunReport b = run_once();
@@ -344,7 +345,8 @@ TEST(FaultInjectionTest, EmptyPlanKeepsFingerprintGoldens) {
   config.fault_seed = 123;
   config.fault_restart = "resubmit";
   core::GLoadSharing policy;
-  const metrics::RunReport report = core::run_experiment(trace, config, policy);
+  workload::MaterializedTraceSource source(trace);
+  const metrics::RunReport report = core::run_experiment(source, config, policy);
   EXPECT_EQ(report.node_crashes, 0u);
   EXPECT_DOUBLE_EQ(report.availability, 1.0);
   EXPECT_EQ(fingerprint(report), kGLoadSharingGolden)

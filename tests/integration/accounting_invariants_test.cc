@@ -9,19 +9,29 @@
 namespace vrc {
 namespace {
 
+/// The policies under test: registry spec and test-name label.
+struct PolicyUnderTest {
+  const char* spec;
+  const char* label;
+};
+constexpr PolicyUnderTest kPolicies[] = {{"g-loadsharing", "G_Loadsharing"},
+                                         {"v-reconf", "V_Reconfiguration"},
+                                         {"local-only", "Local_Only"},
+                                         {"suspension", "Job_Suspension"}};
+constexpr int kGLoadSharing = 0;
+constexpr int kVReconfiguration = 1;
+constexpr int kLocalOnly = 2;
+constexpr int kSuspension = 3;
+
 struct Params {
-  core::PolicyKind policy;
+  int policy;  // index into kPolicies
   workload::WorkloadGroup group;
   std::uint64_t seed;
 };
 
 std::string param_name(const ::testing::TestParamInfo<Params>& info) {
-  std::string name = core::to_string(info.param.policy);
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name + "_" + workload::to_string(info.param.group) + "_s" +
-         std::to_string(info.param.seed);
+  return std::string(kPolicies[info.param.policy].label) + "_" +
+         workload::to_string(info.param.group) + "_s" + std::to_string(info.param.seed);
 }
 
 class AccountingInvariants : public ::testing::TestWithParam<Params> {
@@ -37,7 +47,8 @@ class AccountingInvariants : public ::testing::TestWithParam<Params> {
     params.seed = p.seed;
     const workload::Trace trace = workload::generate_trace(params);
     const auto config = core::paper_cluster_for(p.group, 8);
-    return core::run_policy_on_trace(p.policy, trace, config);
+    return core::run_policy_on_trace(core::PolicySpec(kPolicies[p.policy].spec), trace, config)
+        .value();
   }
 };
 
@@ -122,14 +133,14 @@ TEST_P(AccountingInvariants, FaultsOnlyWithPageTime) {
 INSTANTIATE_TEST_SUITE_P(
     PoliciesGroupsSeeds, AccountingInvariants,
     ::testing::Values(
-        Params{core::PolicyKind::kGLoadSharing, workload::WorkloadGroup::kSpec, 1},
-        Params{core::PolicyKind::kGLoadSharing, workload::WorkloadGroup::kApps, 2},
-        Params{core::PolicyKind::kVReconfiguration, workload::WorkloadGroup::kSpec, 3},
-        Params{core::PolicyKind::kVReconfiguration, workload::WorkloadGroup::kApps, 4},
-        Params{core::PolicyKind::kVReconfiguration, workload::WorkloadGroup::kSpec, 5},
-        Params{core::PolicyKind::kLocalOnly, workload::WorkloadGroup::kSpec, 6},
-        Params{core::PolicyKind::kSuspension, workload::WorkloadGroup::kSpec, 7},
-        Params{core::PolicyKind::kSuspension, workload::WorkloadGroup::kApps, 8}),
+        Params{kGLoadSharing, workload::WorkloadGroup::kSpec, 1},
+        Params{kGLoadSharing, workload::WorkloadGroup::kApps, 2},
+        Params{kVReconfiguration, workload::WorkloadGroup::kSpec, 3},
+        Params{kVReconfiguration, workload::WorkloadGroup::kApps, 4},
+        Params{kVReconfiguration, workload::WorkloadGroup::kSpec, 5},
+        Params{kLocalOnly, workload::WorkloadGroup::kSpec, 6},
+        Params{kSuspension, workload::WorkloadGroup::kSpec, 7},
+        Params{kSuspension, workload::WorkloadGroup::kApps, 8}),
     param_name);
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(AuditScenarioTest, FaultScenarioRunsUnderAudit) {
   // skip, the eviction/rejoin paths, and the immediate broadcasts.
   options.fault_entries = {{2, 60.0, 45.0}, {5, 150.0, 90.0}};
   const auto report =
-      core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config, options);
+      core::run_policy_on_trace(core::PolicySpec("v-reconf"), trace, config, options).value();
   EXPECT_EQ(report.jobs_completed, report.jobs_submitted);
 
   const cluster::audit::Counters& counters = cluster::audit::counters();

@@ -26,9 +26,11 @@ TEST(HeterogeneousClusterTest, SlowNodesStretchWallClock) {
   const auto trace = small_trace(101, 40);
   // Homogeneous reference vs a cluster whose nodes run at half speed.
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  const auto fast = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto fast =
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   for (auto& node : config.nodes) node.cpu_mhz = 200.0;  // half the reference
-  const auto slow = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+  const auto slow =
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   EXPECT_EQ(slow.jobs_completed, slow.jobs_submitted);
   // Half-speed CPUs at least ~1.5x the makespan and double the CPU wall time.
   EXPECT_GT(slow.makespan, fast.makespan * 1.5);
@@ -62,10 +64,10 @@ TEST(NetworkContentionTest, SerializedTransfersNeverSpeedThingsUp) {
   const auto trace = small_trace(103);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   const auto free_net =
-      core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("v-reconf"), trace, config).value();
   config.network_contention = true;
   const auto contended =
-      core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("v-reconf"), trace, config).value();
   EXPECT_EQ(contended.jobs_completed, contended.jobs_submitted);
   // Shared-segment serialization can only add migration latency.
   EXPECT_GE(contended.total_migration, free_net.total_migration - 1.0);
@@ -75,11 +77,11 @@ TEST(StochasticFaultsTest, PreservesInvariantsAndRoughMagnitude) {
   const auto trace = small_trace(104, 80);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   const auto deterministic =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   config.stochastic_faults = true;
   config.seed = 2024;
   const auto stochastic =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   EXPECT_EQ(stochastic.jobs_completed, stochastic.jobs_submitted);
   // Poisson sampling perturbs fault counts but not their order of magnitude.
   if (deterministic.total_faults > 1000.0) {
@@ -96,11 +98,11 @@ TEST_P(TickSizeSweep, ResultsStableAcrossTickGranularity) {
   const auto trace = small_trace(105);
   auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
   const auto reference =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   config.tick = GetParam();
   config.quantum = GetParam();
   const auto coarse =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   EXPECT_EQ(coarse.jobs_completed, coarse.jobs_submitted);
   EXPECT_NEAR(coarse.total_cpu, reference.total_cpu, 0.02 * reference.total_cpu);
   EXPECT_NEAR(coarse.total_execution, reference.total_execution,
@@ -131,7 +133,7 @@ TEST(ClusterSizeSweepTest, PoliciesScaleFromFourToSixtyFourNodes) {
     params.seed = 200 + nodes;
     const auto trace = workload::generate_trace(params);
     const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, nodes);
-    return core::run_policy_on_trace(core::PolicyKind::kVReconfiguration, trace, config);
+    return core::run_policy_on_trace(core::PolicySpec("v-reconf"), trace, config).value();
   });
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     EXPECT_EQ(reports[i].jobs_completed, reports[i].jobs_submitted) << sizes[i] << " nodes";

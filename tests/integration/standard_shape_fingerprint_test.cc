@@ -47,7 +47,7 @@ TEST_P(StandardShapeFingerprintTest, RigidShapeIsByteIdenticalToPreMalleabilityB
   const workload::Trace trace = workload::standard_trace(golden.group, golden.index);
   const auto config = core::paper_cluster_for(golden.group, 32);
   const auto report =
-      core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
+      core::run_policy_on_trace(core::PolicySpec("g-loadsharing"), trace, config).value();
   EXPECT_EQ(testutil::fingerprint(report), golden.fingerprint);
   // And the malleability surface stays dark on rigid workloads.
   EXPECT_EQ(report.malleable_jobs, 0u);

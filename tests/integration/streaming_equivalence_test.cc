@@ -1,13 +1,14 @@
-// Streamed-vs-materialized equivalence for the arrival pipeline (DESIGN.md
-// §14).
+// Equivalence of the ways a job can enter a cluster (DESIGN.md §14).
 //
-// The pull-based pump (Cluster::submit_source) must be an implementation
-// detail: pumping a GeneratedStreamSource job-by-job has to produce the
-// bit-identical run to materializing the same trace up front and submitting
-// it wholesale. These tests hold the shared FNV-1a report fingerprint
-// (tests/common/report_fingerprint.h) equal across both paths for all five
-// standard shapes of both workload groups, and bound the pump's live
-// JobSpec storage on a million-job stream.
+// Every run is pumped through Cluster::submit_source; what may differ is
+// the source. Generating jobs on the fly (GeneratedStreamSource) must
+// produce the bit-identical run to building the trace up front and pumping
+// it through a MaterializedTraceSource, and injecting the same trace job by
+// job through Cluster::submit_job must match the pump too. These tests hold
+// the shared FNV-1a report fingerprint (tests/common/report_fingerprint.h)
+// equal across those paths for all five standard shapes of both workload
+// groups, and bound the pump's live JobSpec storage on a million-job
+// stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,8 +16,11 @@
 #include <optional>
 
 #include "../common/report_fingerprint.h"
+#include "cluster/cluster.h"
 #include "core/experiment.h"
+#include "metrics/collector.h"
 #include "metrics/report.h"
+#include "sim/simulator.h"
 #include "workload/arrival_source.h"
 #include "workload/trace_generator.h"
 #include "workload/trace_spec.h"
@@ -26,10 +30,10 @@ namespace {
 
 using testutil::fingerprint;
 
-// Every standard shape of both groups, streamed and materialized, must
-// land on the same fingerprint. This is the acceptance property of the
-// streaming refactor: if the pump ever reorders arrivals, drops a job, or
-// perturbs the RNG draw order, one of these ten pairs diverges.
+// Every standard shape of both groups, generated on the fly and built up
+// front, must land on the same fingerprint: if the generated source ever
+// reorders arrivals, drops a job, or perturbs the RNG draw order, one of
+// these ten pairs diverges.
 TEST(StreamingEquivalenceTest, AllStandardTracesMatchMaterialized) {
   const core::PolicySpec policy("v-reconf");
   for (workload::WorkloadGroup group :
@@ -47,9 +51,7 @@ TEST(StreamingEquivalenceTest, AllStandardTracesMatchMaterialized) {
       ASSERT_TRUE(streamed.has_value()) << trace.name();
 
       EXPECT_EQ(fingerprint(*streamed), fingerprint(*materialized))
-          << trace.name() << ": streamed run diverged from materialized";
-      EXPECT_TRUE(streamed->streamed);
-      EXPECT_FALSE(materialized->streamed);
+          << trace.name() << ": generated run diverged from materialized";
       EXPECT_EQ(streamed->jobs_submitted, trace.size());
       // The pump never holds more live specs than jobs in flight, which is
       // far below the trace size on these shapes.
@@ -59,21 +61,32 @@ TEST(StreamingEquivalenceTest, AllStandardTracesMatchMaterialized) {
   }
 }
 
-// A MaterializedTraceSource pumped through submit_source must also match
-// submit_trace on the same Trace object — the pump path itself (not just
-// the generated source's RNG replay) preserves behavior.
-TEST(StreamingEquivalenceTest, MaterializedSourcePumpMatchesSubmitTrace) {
+// Injecting a trace job by job through Cluster::submit_job (every arrival
+// scheduled up front) must match pumping the same trace through a
+// MaterializedTraceSource (one arrival outstanding at a time): both entry
+// points feed the cluster the same arrivals in the same event order.
+TEST(StreamingEquivalenceTest, SubmitJobInjectionMatchesMaterializedPump) {
   const workload::Trace trace = workload::standard_trace(workload::WorkloadGroup::kSpec, 2, 32);
   const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 32);
+  const core::PolicySpec spec("g-loadsharing");
+  const core::ExperimentOptions options;
 
-  const auto direct = core::run_policy_on_trace(core::PolicyKind::kGLoadSharing, trace, config);
-
-  workload::MaterializedTraceSource source(trace);
-  const auto pumped =
-      core::run_policy_on_source(core::PolicySpec("g-loadsharing"), source, config);
+  const auto pumped = core::run_policy_on_trace(spec, trace, config, options);
   ASSERT_TRUE(pumped.has_value());
 
-  EXPECT_EQ(fingerprint(*pumped), fingerprint(direct));
+  // run_experiment's body, with submit_job in place of submit_source.
+  const auto policy = core::make_policy(spec, nullptr);
+  ASSERT_NE(policy, nullptr);
+  sim::Simulator sim;
+  cluster::Cluster cluster(sim, config, *policy);
+  metrics::Collector collector(cluster, options.collector);
+  for (const workload::JobSpec& job : trace.jobs()) cluster.submit_job(job);
+  sim.run_until(options.max_sim_time);
+  collector.stop();
+  const metrics::RunReport injected = collector.report(trace.name(), policy->name());
+
+  EXPECT_EQ(injected.jobs_completed, trace.size());
+  EXPECT_EQ(fingerprint(injected), fingerprint(*pumped));
 }
 
 // Cheap deterministic firehose: `total` short uniform jobs arriving at a

@@ -1,12 +1,13 @@
 // The declarative scenario layer: spec-file parsing, precise error text, and
 // the headline determinism contract — a ScenarioSpec naming today's defaults
-// produces byte-identical reports to the legacy enum-based path (held to the
-// same FNV-1a goldens as tests/integration/determinism_fingerprint_test.cc).
+// produces byte-identical reports to a hand-built run of the same trace (held
+// to the same FNV-1a goldens as tests/integration/determinism_fingerprint_test.cc).
 #include "runner/scenario.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "../common/report_fingerprint.h"
 #include "core/experiment.h"
@@ -142,18 +143,25 @@ TEST(ScenarioSpecTest, MalleableDirectiveDefaultsGeneratedTracesOnly) {
   // The directive defaults only traces WITHOUT their own malleable= fraction:
   // the first trace becomes all-malleable (width [1,2] ⇒ every job submits at
   // width 2), the second keeps its explicit 0.25.
+  // Each entry is a spec recipe; build its jobs the way a cell's source
+  // would produce them.
+  std::vector<workload::Trace> built;
+  for (const SweepTrace& entry : grid->traces) {
+    ASSERT_TRUE(entry.spec.has_value());
+    built.push_back(entry.spec->build(entry.default_nodes));
+  }
   std::size_t wide = 0;
-  for (const workload::JobSpec& job : grid->traces[0].trace.jobs()) {
+  for (const workload::JobSpec& job : built[0].jobs()) {
     EXPECT_TRUE(job.malleable());
     wide += job.initial_width() > 1 ? 1u : 0u;
   }
-  EXPECT_EQ(wide, grid->traces[0].trace.size());
+  EXPECT_EQ(wide, built[0].size());
   std::size_t fraction_malleable = 0;
-  for (const workload::JobSpec& job : grid->traces[1].trace.jobs()) {
+  for (const workload::JobSpec& job : built[1].jobs()) {
     fraction_malleable += job.malleable() ? 1u : 0u;
   }
   EXPECT_GT(fraction_malleable, 0u);
-  EXPECT_LT(fraction_malleable, grid->traces[1].trace.size());
+  EXPECT_LT(fraction_malleable, built[1].size());
 
   // An explicit per-trace fraction alone also counts as configured.
   ScenarioSpec per_trace;
@@ -231,6 +239,19 @@ TEST(ToGridTest, UnknownPolicyAndBadOverrideFailBeforeTraceBuilding) {
   EXPECT_NE(error.find("unknown config override 'bogus_knob'"), std::string::npos) << error;
 }
 
+TEST(ToGridTest, DegeneratePeriodOverrideFailsCleanly) {
+  // A zero tick would make the run spin without advancing simulated time;
+  // the override is rejected when the scenario is materialized.
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(spec.apply_line("trace spec:jobs=10,duration=10", &error)) << error;
+  ASSERT_TRUE(spec.apply_line("policy v-reconf", &error)) << error;
+  ASSERT_TRUE(spec.apply_line("set tick=0", &error)) << error;
+  EXPECT_FALSE(to_grid(spec, &error).has_value());
+  EXPECT_NE(error.find("tick"), std::string::npos) << error;
+  EXPECT_FALSE(run_scenario(spec, /*jobs=*/1, &error).has_value());
+}
+
 TEST(ToGridTest, AutoClusterRejectsMixedWorkloadGroups) {
   ScenarioSpec spec;
   std::string error;
@@ -247,7 +268,8 @@ TEST(ToGridTest, AutoClusterRejectsMixedWorkloadGroups) {
 
 // The headline equivalence proof: a scenario naming the fingerprint run
 // (same trace params, default-param policies, no overrides) reproduces the
-// exact FNV-1a goldens captured on the legacy enum path.
+// exact FNV-1a goldens, which were captured when runs still named policies
+// by enum (hence the test name).
 TEST(ScenarioEquivalenceTest, DefaultSpecRunMatchesEnumPathGoldens) {
   const std::string text =
       "cluster paper1\n"
@@ -263,29 +285,6 @@ TEST(ScenarioEquivalenceTest, DefaultSpecRunMatchesEnumPathGoldens) {
   ASSERT_EQ(run->cells.size(), 2u);
   EXPECT_EQ(fingerprint(run->cell(0, 0, 0).report), kGLoadSharingGolden);
   EXPECT_EQ(fingerprint(run->cell(0, 0, 1).report), kVReconfigurationGolden);
-}
-
-// Every PolicyKind and its to_spec() equivalent must run bit-identically.
-TEST(ScenarioEquivalenceTest, EnumAndSpecPathsAgreeForEveryKind) {
-  workload::TraceParams params;
-  params.name = "equiv";
-  params.group = workload::WorkloadGroup::kSpec;
-  params.num_jobs = 40;
-  params.duration = 600.0;
-  params.num_nodes = 8;
-  params.seed = 19;
-  const workload::Trace trace = workload::generate_trace(params);
-  const auto config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 8);
-  for (auto kind : {core::PolicyKind::kGLoadSharing, core::PolicyKind::kVReconfiguration,
-                    core::PolicyKind::kLocalOnly, core::PolicyKind::kSuspension,
-                    core::PolicyKind::kOracleDemands}) {
-    const auto via_enum = core::run_policy_on_trace(kind, trace, config);
-    std::string error;
-    const auto via_spec =
-        core::run_policy_on_trace(core::to_spec(kind), trace, config, {}, &error);
-    ASSERT_TRUE(via_spec.has_value()) << error;
-    EXPECT_EQ(fingerprint(*via_spec), fingerprint(via_enum)) << core::to_string(kind);
-  }
 }
 
 TEST(ScenarioRunTest, TrialsExpandTheTraceAxisTrialMajor) {

@@ -188,7 +188,8 @@ TEST(SweepRunnerTest, RunIndexedPreservesIndexOrder) {
   const auto reports = runner.run_indexed(3, [&](std::size_t i) {
     core::ExperimentOptions options;
     options.max_sim_time = 100000.0 + 1000.0 * static_cast<double>(i);
-    return core::run_policy_on_trace(core::PolicyKind::kLocalOnly, trace, config, options);
+    return core::run_policy_on_trace(core::PolicySpec("local-only"), trace, config, options)
+        .value();
   });
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& report : reports) {
