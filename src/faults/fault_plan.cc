@@ -1,7 +1,9 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/rng.h"
 
@@ -62,46 +64,94 @@ bool FaultPlan::validate(const std::vector<FaultEntry>& entries, std::size_t num
 
 FaultPlan FaultPlan::materialize(const std::vector<FaultEntry>& entries,
                                  const cluster::ClusterConfig& config, SimTime horizon) {
+  if (config.fault_mtbf > 0.0 && !std::isfinite(horizon)) {
+    throw std::invalid_argument("fault plan: horizon must be finite when fault.mtbf > 0");
+  }
   FaultPlan plan;
-  plan.windows_ = entries;
+  plan.mtbf_ = config.fault_mtbf;
+  plan.mttr_ = config.fault_mttr;
+  plan.horizon_ = horizon;
+  plan.explicit_ = entries;
+  std::sort(plan.explicit_.begin(), plan.explicit_.end(),
+            [](const FaultEntry& a, const FaultEntry& b) {
+              return a.node != b.node ? a.node < b.node : a.at < b.at;
+            });
+  plan.streams_.resize(config.num_nodes());
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < plan.streams_.size(); ++i) {
+    plan.streams_[i].next_explicit = cursor;
+    while (cursor < plan.explicit_.size() && plan.explicit_[cursor].node == i) ++cursor;
+    plan.streams_[i].end_explicit = cursor;
+  }
 
+  plan.empty_ = plan.explicit_.empty();
   if (config.fault_mtbf > 0.0 && horizon > 0.0) {
     const std::uint64_t seed =
         config.fault_seed != 0 ? config.fault_seed : config.seed ^ kFaultStreamSalt;
     sim::Rng root(seed);
     for (std::size_t i = 0; i < config.num_nodes(); ++i) {
-      sim::Rng stream = root.fork();
-      SimTime t = 0.0;
-      while (true) {
-        t += stream.exponential(1.0 / config.fault_mtbf);
-        if (t >= horizon) break;
-        const SimTime repair = stream.exponential(1.0 / config.fault_mttr);
-        plan.windows_.push_back({static_cast<NodeId>(i), t, repair});
-        t += repair;
-      }
+      NodeStream& stream = plan.streams_[i];
+      stream.rng = root.fork();
+      plan.draw(stream, static_cast<NodeId>(i));
+      if (stream.drawn) plan.empty_ = false;
     }
   }
-
-  std::sort(plan.windows_.begin(), plan.windows_.end(),
-            [](const FaultEntry& a, const FaultEntry& b) {
-              return a.node != b.node ? a.node < b.node : a.at < b.at;
-            });
-  // Merge overlapping/touching windows per node (an explicit entry may land
-  // inside a generated outage): the node is simply down for the union.
-  std::vector<FaultEntry> merged;
-  merged.reserve(plan.windows_.size());
-  for (const FaultEntry& window : plan.windows_) {
-    if (!merged.empty() && merged.back().node == window.node &&
-        window.at <= merged.back().at + merged.back().duration) {
-      const SimTime end =
-          std::max(merged.back().at + merged.back().duration, window.at + window.duration);
-      merged.back().duration = end - merged.back().at;
-    } else {
-      merged.push_back(window);
-    }
-  }
-  plan.windows_ = std::move(merged);
   return plan;
+}
+
+void FaultPlan::draw(NodeStream& stream, NodeId node) {
+  stream.drawn.reset();
+  stream.clock += stream.rng.exponential(1.0 / mtbf_);
+  if (stream.clock >= horizon_) return;
+  const SimTime repair = stream.rng.exponential(1.0 / mttr_);
+  stream.drawn = FaultEntry{node, stream.clock, repair};
+  stream.clock += repair;
+}
+
+const FaultEntry* FaultPlan::peek(const NodeStream& stream) const {
+  const FaultEntry* entry =
+      stream.next_explicit < stream.end_explicit ? &explicit_[stream.next_explicit] : nullptr;
+  if (!stream.drawn) return entry;
+  return entry != nullptr && entry->at <= stream.drawn->at ? entry : &*stream.drawn;
+}
+
+FaultEntry FaultPlan::pop(NodeStream& stream, NodeId node) {
+  const FaultEntry* head = peek(stream);
+  const FaultEntry window = *head;
+  if (stream.drawn && head == &*stream.drawn) {
+    // An exhausted generator leaves `drawn` empty, so it is never drawn again.
+    draw(stream, node);
+  } else {
+    ++stream.next_explicit;
+  }
+  return window;
+}
+
+std::optional<FaultEntry> FaultPlan::next_window(NodeId node) {
+  NodeStream& stream = streams_[node];
+  if (peek(stream) == nullptr) return std::nullopt;
+  FaultEntry merged = pop(stream, node);
+  // Merge overlapping/touching windows (an explicit entry may land inside a
+  // generated outage): the node is simply down for the union. Both sources
+  // are sorted by start, so the next candidate is the earlier of their heads.
+  for (const FaultEntry* next = peek(stream);
+       next != nullptr && next->at <= merged.at + merged.duration; next = peek(stream)) {
+    const FaultEntry window = pop(stream, node);
+    const SimTime end = std::max(merged.at + merged.duration, window.at + window.duration);
+    merged.duration = end - merged.at;
+  }
+  return merged;
+}
+
+std::vector<FaultEntry> FaultPlan::windows() const {
+  FaultPlan cursor = *this;
+  std::vector<FaultEntry> all;
+  for (std::size_t i = 0; i < cursor.num_nodes(); ++i) {
+    while (const std::optional<FaultEntry> window = cursor.next_window(static_cast<NodeId>(i))) {
+      all.push_back(*window);
+    }
+  }
+  return all;
 }
 
 }  // namespace vrc::faults

@@ -18,9 +18,12 @@ class Cluster;
 
 namespace vrc::faults {
 
-/// Schedules one fail event at each window start and one recover event at its
-/// end. Owns its events and cancels them on destruction, so tearing down an
-/// injector mid-run never leaves a callback aimed at a dead cluster.
+/// Keeps one armed event per node: the fail event at the start of the node's
+/// next window, then its recover event at the window's end, then the fail
+/// event of the window after, drawn from its own copy of the plan. Event-queue
+/// population and memory are O(nodes) however many windows the run spans.
+/// Cancels its armed events on destruction, so tearing down an injector
+/// mid-run never leaves a callback aimed at a dead cluster.
 class FaultInjector {
  public:
   FaultInjector(sim::Simulator& sim, cluster::Cluster& cluster, const FaultPlan& plan);
@@ -28,11 +31,19 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  std::size_t windows_scheduled() const { return events_.size() / 2; }
+  /// Windows whose fail event has been armed so far.
+  std::size_t windows_scheduled() const { return windows_armed_; }
 
  private:
+  /// Arms the fail event of `node`'s next window, if it has one.
+  void arm_failure(NodeId node);
+
   sim::Simulator& sim_;
-  std::vector<sim::EventId> events_;
+  cluster::Cluster& cluster_;
+  FaultPlan plan_;                   // own cursor over the per-node streams
+  std::uint64_t first_seq_ = 0;      // node i's events all tie-break as first_seq_ + i
+  std::vector<sim::EventId> armed_;  // per node: the pending event, if any
+  std::size_t windows_armed_ = 0;
 };
 
 }  // namespace vrc::faults

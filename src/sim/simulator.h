@@ -51,10 +51,33 @@ class Simulator {
   template <typename F, typename = std::enable_if_t<
                             std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventId schedule_at(SimTime when, F&& callback) {
+    return schedule_at_sequence(when, next_seq_++, std::forward<F>(callback));
+  }
+
+  /// Reserves `count` consecutive sequence numbers and returns the first.
+  /// An event scheduled later with one of them (schedule_at_sequence) breaks
+  /// timestamp ties as if it had been scheduled at the moment of the
+  /// reservation: after every event scheduled before it, before every event
+  /// scheduled after it, and among reserved numbers in numeric order.
+  std::uint64_t reserve_sequences(std::uint64_t count) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += count;
+    return first;
+  }
+
+  /// schedule_at with the tie-break sequence number `seq` taken from
+  /// reserve_sequences. A reserved number may carry at most one pending
+  /// event. It may be re-armed once its event has fired, but never after
+  /// cancelling one: the cancelled heap entry would alias the new event. The
+  /// id of a fired event may equal its successor's on the same number, so a
+  /// holder drops it when the event fires.
+  template <typename F, typename = std::enable_if_t<
+                            std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  EventId schedule_at_sequence(SimTime when, std::uint64_t seq, F&& callback) {
     const std::uint32_t index = alloc_slot();
     Slot& slot = slot_ref(index);
     slot.callback.emplace(std::forward<F>(callback));
-    return commit_event(when, index, slot);
+    return commit_event(when, seq, index, slot);
   }
 
   /// Schedules `callback` after a relative delay (>= 0).
@@ -177,9 +200,9 @@ class Simulator {
   /// Cold path of alloc_slot: appends a chunk if needed.
   std::uint32_t alloc_slot_slow();
 
-  /// Clamps `when`, stamps the slot live, pushes the heap entry, and returns
-  /// the event id. The slot must already hold the callback.
-  EventId commit_event(SimTime when, std::uint32_t index, Slot& slot);
+  /// Clamps `when`, stamps the slot live with `seq`, pushes the heap entry,
+  /// and returns the event id. The slot must already hold the callback.
+  EventId commit_event(SimTime when, std::uint64_t seq, std::uint32_t index, Slot& slot);
 
   void heap_push(HeapKey entry);
   void heap_pop_min();

@@ -5,6 +5,7 @@
 // paper uses (megabytes, milliseconds, Mbps) without ad-hoc arithmetic.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -38,13 +39,15 @@ constexpr double mbps_to_bytes_per_sec(double mbps) { return mbps * 1e6 / 8.0; }
 namespace units_detail {
 
 /// Parses the leading number of `text`; on success stores the value and the
-/// remainder (the unit suffix, leading spaces stripped).
+/// remainder (the unit suffix, leading spaces stripped). NaN and infinities
+/// are rejected: no duration or size is meant to be either.
 inline bool split_number(const std::string& text, double* value, std::string* suffix) {
   if (text.empty()) return false;
   const char* begin = text.c_str();
   char* end = nullptr;
   const double parsed = std::strtod(begin, &end);
   if (end == begin) return false;  // no digits at all
+  if (!std::isfinite(parsed)) return false;
   while (*end == ' ') ++end;
   *value = parsed;
   *suffix = std::string(end);

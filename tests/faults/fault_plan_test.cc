@@ -1,15 +1,20 @@
-// FaultPlan: validation of explicit failure windows and materialization of
-// the full deterministic schedule (explicit entries + the seeded per-node
+// FaultPlan: validation of explicit failure windows and the deterministic
+// per-node schedule streams (explicit entries + the seeded per-node
 // exponential MTBF/MTTR generator). The generator runs on its own RNG stream,
 // so the same fault_seed must yield the same schedule regardless of the
-// workload seed (matched-pairs comparisons).
+// workload seed (matched-pairs comparisons). An oracle pins the lazy streams
+// bit-for-bit to the eager draw-sort-merge schedule they replace.
 #include "faults/fault_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "cluster/config.h"
+#include "sim/rng.h"
 
 namespace vrc::faults {
 namespace {
@@ -146,6 +151,184 @@ TEST(FaultPlanMaterializeTest, ZeroFaultSeedDerivesFromClusterSeed) {
             FaultPlan::materialize({}, a, 5000.0).windows());
   EXPECT_NE(FaultPlan::materialize({}, a, 5000.0).windows(),
             FaultPlan::materialize({}, b, 5000.0).windows());
+}
+
+/// The eager schedule the per-node streams replace, kept verbatim as the
+/// reference: draw every generated window up to the horizon, sort all windows
+/// by (node, at), then merge overlapping or touching ones per node.
+std::vector<FaultEntry> reference_schedule(const std::vector<FaultEntry>& entries,
+                                           const ClusterConfig& config, SimTime horizon) {
+  std::vector<FaultEntry> windows = entries;
+  if (config.fault_mtbf > 0.0 && horizon > 0.0) {
+    const std::uint64_t seed =
+        config.fault_seed != 0 ? config.fault_seed : config.seed ^ 0xFA17FA17FA17FA17ULL;
+    sim::Rng root(seed);
+    for (std::size_t i = 0; i < config.num_nodes(); ++i) {
+      sim::Rng stream = root.fork();
+      SimTime t = 0.0;
+      while (true) {
+        t += stream.exponential(1.0 / config.fault_mtbf);
+        if (t >= horizon) break;
+        const SimTime repair = stream.exponential(1.0 / config.fault_mttr);
+        windows.push_back({static_cast<NodeId>(i), t, repair});
+        t += repair;
+      }
+    }
+  }
+  std::sort(windows.begin(), windows.end(), [](const FaultEntry& a, const FaultEntry& b) {
+    return a.node != b.node ? a.node < b.node : a.at < b.at;
+  });
+  std::vector<FaultEntry> merged;
+  for (const FaultEntry& window : windows) {
+    if (!merged.empty() && merged.back().node == window.node &&
+        window.at <= merged.back().at + merged.back().duration) {
+      const SimTime end =
+          std::max(merged.back().at + merged.back().duration, window.at + window.duration);
+      merged.back().duration = end - merged.back().at;
+    } else {
+      merged.push_back(window);
+    }
+  }
+  return merged;
+}
+
+/// Drains `plan` one window per node in round-robin order, highest node
+/// first (an injector interleaves nodes too), then regroups by node: one node's stream must
+/// not depend on how far the others have advanced.
+std::vector<FaultEntry> drain_interleaved(FaultPlan plan) {
+  std::vector<std::vector<FaultEntry>> per_node(plan.num_nodes());
+  bool any = true;
+  while (any) {
+    any = false;
+    for (std::size_t i = plan.num_nodes(); i-- > 0;) {
+      if (const std::optional<FaultEntry> window = plan.next_window(static_cast<NodeId>(i))) {
+        per_node[i].push_back(*window);
+        any = true;
+      }
+    }
+  }
+  std::vector<FaultEntry> all;
+  for (const std::vector<FaultEntry>& windows : per_node) {
+    all.insert(all.end(), windows.begin(), windows.end());
+  }
+  return all;
+}
+
+/// Explicit entries placed against the generated windows of `generated`,
+/// two per node: one overlapping a window's end, one touching a window's end
+/// exactly, one inside a window, one bridging two windows, one ending at a
+/// window's start, one alone in a gap; a node with few windows gets one
+/// early entry. None starts exactly where another window starts: the
+/// reference's unstable sort leaves the order of equal starts unspecified.
+std::vector<FaultEntry> entries_against(const std::vector<FaultEntry>& generated,
+                                        std::size_t nodes) {
+  std::vector<std::vector<FaultEntry>> per_node(nodes);
+  for (const FaultEntry& window : generated) per_node[window.node].push_back(window);
+  std::vector<FaultEntry> entries;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const NodeId node = static_cast<NodeId>(i);
+    const std::vector<FaultEntry>& windows = per_node[i];
+    if (windows.size() < 4) {
+      entries.push_back({node, 7.0 + static_cast<double>(i), 3.0});
+      continue;
+    }
+    const FaultEntry& a = windows[0];
+    const FaultEntry& b = windows[1];
+    const FaultEntry& c = windows[2];
+    const FaultEntry& d = windows[3];
+    const SimTime b_end = b.at + b.duration;
+    switch (i % 3) {
+      case 0:
+        entries.push_back({node, a.at + a.duration / 2, a.duration});
+        entries.push_back({node, b_end, 5.0});
+        break;
+      case 1:
+        entries.push_back({node, a.at + a.duration / 4, a.duration / 4});
+        entries.push_back({node, b.at + b.duration / 3, c.at - b.at});
+        break;
+      default:
+        entries.push_back({node, (b_end + c.at) / 2, (c.at - b_end) / 8});
+        entries.push_back({node, d.at - 4.0, 4.0});
+        break;
+    }
+  }
+  // Unsorted input: the plan sorts per node itself.
+  std::reverse(entries.begin(), entries.end());
+  return entries;
+}
+
+TEST(FaultPlanOracleTest, StreamsMatchTheEagerScheduleBitForBit) {
+  int compared = 0;
+  for (const std::uint64_t seed : {1ull, 7919ull, 0xC0FFEEull}) {
+    for (const std::size_t nodes : {1u, 3u, 16u}) {
+      for (const SimTime horizon : {0.0, 250.0, 5000.0, 60000.0}) {
+        ClusterConfig config = generator_config(nodes, seed);
+        config.fault_mtbf = 300.0;
+        config.fault_mttr = 40.0;
+        const std::vector<FaultEntry> generated = reference_schedule({}, config, 60000.0);
+        for (const bool with_entries : {false, true}) {
+          const std::vector<FaultEntry> entries =
+              with_entries ? entries_against(generated, nodes) : std::vector<FaultEntry>{};
+          const std::vector<FaultEntry> expected = reference_schedule(entries, config, horizon);
+          const FaultPlan plan = FaultPlan::materialize(entries, config, horizon);
+          const std::string label = "seed " + std::to_string(seed) + ", " +
+                                    std::to_string(nodes) + " nodes, horizon " +
+                                    std::to_string(horizon) + (with_entries ? ", entries" : "");
+          EXPECT_EQ(plan.empty(), expected.empty()) << label;
+          // FaultEntry::operator== compares the doubles with ==.
+          EXPECT_EQ(drain_interleaved(plan), expected) << label;
+          EXPECT_EQ(plan.windows(), expected) << label;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 72);
+}
+
+TEST(FaultPlanOracleTest, MergesExplicitEntriesIntoGeneratedWindows) {
+  // The grid above must actually exercise the merge: with entries placed
+  // against the generated windows, some merged windows differ from both
+  // sources.
+  ClusterConfig config = generator_config(3, 7919);
+  config.fault_mtbf = 300.0;
+  config.fault_mttr = 40.0;
+  const std::vector<FaultEntry> generated = reference_schedule({}, config, 60000.0);
+  const std::vector<FaultEntry> entries = entries_against(generated, 3);
+  const std::vector<FaultEntry> merged =
+      FaultPlan::materialize(entries, config, 60000.0).windows();
+  EXPECT_LT(merged.size(), generated.size() + entries.size());
+  auto contains = [](const std::vector<FaultEntry>& windows, const FaultEntry& window) {
+    return std::find(windows.begin(), windows.end(), window) != windows.end();
+  };
+  int widened = 0;
+  for (const FaultEntry& window : merged) {
+    if (!contains(generated, window) && !contains(entries, window)) ++widened;
+  }
+  EXPECT_GE(widened, 3);
+}
+
+TEST(FaultPlanOracleTest, EmptyAgreesWhenEveryFirstDrawMissesTheHorizon) {
+  ClusterConfig config = generator_config(8, 3);
+  const SimTime horizon = 1e-3;  // mtbf 500 s: every node's first failure is later
+  ASSERT_TRUE(reference_schedule({}, config, horizon).empty());
+  const FaultPlan plan = FaultPlan::materialize({}, config, horizon);
+  EXPECT_TRUE(plan.empty());
+  EXPECT_TRUE(plan.windows().empty());
+  // One explicit entry makes the plan non-empty even though nothing is drawn.
+  EXPECT_FALSE(FaultPlan::materialize({{5, 1.0, 1.0}}, config, horizon).empty());
+}
+
+TEST(FaultPlanMaterializeTest, RejectsANonFiniteHorizonWhileGenerating) {
+  const ClusterConfig config = generator_config();
+  EXPECT_THROW(FaultPlan::materialize({}, config, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::materialize({}, config, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  // With the generator off the horizon is never read.
+  EXPECT_TRUE(FaultPlan::materialize({}, no_generator_config(),
+                                     std::numeric_limits<double>::infinity())
+                  .empty());
 }
 
 }  // namespace

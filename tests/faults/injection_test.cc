@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "../common/report_fingerprint.h"
@@ -292,6 +295,39 @@ TEST(FaultInjectionTest, VReconfigurationAbandonsReservationOnFailedNode) {
   EXPECT_EQ(policy.active_reservations(), 0);
 }
 
+TEST(FaultInjectionTest, EventQueueStaysBoundedAndTeardownCancelsEveryFaultEvent) {
+  // 64 nodes failing every ~11 s over a 500,000 s horizon: about 2.9M
+  // windows. The injector keeps one armed event per node, drawing the rest
+  // on demand, so the queue never holds more than one fault event per node.
+  sim::Simulator sim;
+  HomePolicy policy;
+  ClusterConfig config = ClusterConfig::paper_cluster1(64);
+  config.fault_mtbf = 10.0;
+  config.fault_mttr = 1.0;
+  config.fault_seed = 3;
+  Cluster cluster(sim, config, policy);
+  const FaultPlan plan = FaultPlan::materialize({}, config, /*horizon=*/500000.0);
+  const std::uint64_t before = sim.pending_events();
+  auto injector = std::make_unique<FaultInjector>(sim, cluster, plan);
+  EXPECT_LE(sim.pending_events(), before + 64);
+  EXPECT_EQ(injector->windows_scheduled(), 64u);
+
+  std::uint64_t peak = 0;
+  while (sim.now() < 2000.0 && sim.step()) peak = std::max(peak, sim.pending_events());
+  EXPECT_LE(peak, before + 64);
+  EXPECT_GT(cluster.node_crashes(), 64u * 100u);
+  // Each recovery armed the node's next window (none has run dry yet).
+  EXPECT_EQ(injector->windows_scheduled(), cluster.node_recoveries() + 64u);
+
+  injector.reset();
+  EXPECT_EQ(sim.pending_events(), before);
+  const std::uint64_t crashes = cluster.node_crashes();
+  const std::uint64_t recoveries = cluster.node_recoveries();
+  sim.run_until(4000.0);
+  EXPECT_EQ(cluster.node_crashes(), crashes);
+  EXPECT_EQ(cluster.node_recoveries(), recoveries);
+}
+
 TEST(FaultInjectionTest, SameSeedRunsWithFaultsAreBitIdentical) {
   workload::TraceParams params;
   params.name = "fault-identity";
@@ -351,6 +387,61 @@ TEST(FaultInjectionTest, EmptyPlanKeepsFingerprintGoldens) {
   EXPECT_DOUBLE_EQ(report.availability, 1.0);
   EXPECT_EQ(fingerprint(report), kGLoadSharingGolden)
       << "actual fingerprint: 0x" << std::hex << fingerprint(report);
+}
+
+/// Runs a scenario built to put fault events on timestamps shared with other
+/// events: arrivals, ticks, exchanges, policy pulses and 1 s samples all land
+/// on integer (or exactly representable) times, and so do the explicit
+/// windows. Node 0 and node 1 fail together at t=40 although node 1's
+/// previous window ended first; node 3's window starts between two exchanges
+/// and ends on one; node 4's opens on the collector's first sample.
+std::uint64_t equal_time_fingerprint(cluster::SchedulerPolicy& policy) {
+  workload::TraceParams params;
+  params.name = "fault-ties";
+  params.group = workload::WorkloadGroup::kSpec;
+  params.num_jobs = 60;
+  params.duration = 120.0;
+  params.num_nodes = 6;
+  params.seed = 21;
+  const workload::Trace generated = workload::generate_trace(params);
+  std::vector<JobSpec> jobs = generated.jobs();
+  for (JobSpec& job : jobs) job.submit_time = std::floor(job.submit_time);
+  const workload::Trace trace(generated.name(), generated.group(), generated.duration(),
+                              std::move(jobs));
+  ClusterConfig config = core::paper_cluster_for(workload::WorkloadGroup::kSpec, 6);
+  config.tick = 0.25;
+  config.fault_mtbf = 300.0;
+  config.fault_mttr = 20.0;
+  config.fault_seed = 5;
+  config.fault_restart = "resubmit";
+  core::ExperimentOptions options;
+  options.collector.sampling_intervals = {1.0};
+  options.max_sim_time = 3000.0;
+  options.fault_entries = {{0, 10.0, 20.0}, {1, 5.0, 3.0},  {0, 40.0, 7.0},
+                           {1, 40.0, 12.0}, {3, 60.5, 0.5}, {4, 1.0, 1.0},
+                           {2, 52.0, 1.0},  {5, 52.0, 1.0}, {2, 54.0, 2.0}};
+  workload::MaterializedTraceSource source(trace);
+  const metrics::RunReport report = core::run_experiment(source, config, policy, options);
+  EXPECT_GT(report.node_crashes, 9u);
+  testutil::Fnv1a h;
+  h.mix_u64(fingerprint(report));
+  h.mix_u64(report.node_crashes);
+  h.mix_u64(report.jobs_killed);
+  h.mix_u64(report.transfer_failures);
+  h.mix_double(report.work_lost_cpu_seconds);
+  h.mix_double(report.availability);
+  return h.value();
+}
+
+TEST(FaultInjectionTest, EqualTimeFaultEventsKeepTheirOrder) {
+  // Goldens recorded with the injector that scheduled every window's events
+  // up front: arming one event per node lazily must not reorder any tie.
+  core::GLoadSharing gls;
+  const std::uint64_t gls_print = equal_time_fingerprint(gls);
+  EXPECT_EQ(gls_print, 0xbf66d068c869dcd0ull) << "actual: 0x" << std::hex << gls_print;
+  core::LocalOnly local;
+  const std::uint64_t local_print = equal_time_fingerprint(local);
+  EXPECT_EQ(local_print, 0x596e29850c9d9861ull) << "actual: 0x" << std::hex << local_print;
 }
 
 }  // namespace

@@ -117,6 +117,12 @@ TEST(ScenarioSpecTest, FaultDirectiveRejectsEachFailureClassPrecisely) {
   EXPECT_NE(error.find("fault field 'temp' unknown"), std::string::npos) << error;
   EXPECT_FALSE(spec.apply_line("fault crash node=1 at=5", &error));
   EXPECT_NE(error.find("fault crash needs node=, at=, and for="), std::string::npos) << error;
+  EXPECT_FALSE(spec.apply_line("fault crash node=1 at=nan for=1", &error));
+  EXPECT_NE(error.find("fault at 'nan' is not a non-negative duration"), std::string::npos)
+      << error;
+  EXPECT_FALSE(spec.apply_line("fault crash node=1 at=5 for=inf", &error));
+  EXPECT_NE(error.find("fault for 'inf' is not a positive duration"), std::string::npos)
+      << error;
   // None of the rejected lines may leave a partial entry behind.
   EXPECT_TRUE(spec.faults.empty());
 }
@@ -250,6 +256,34 @@ TEST(ToGridTest, DegeneratePeriodOverrideFailsCleanly) {
   EXPECT_FALSE(to_grid(spec, &error).has_value());
   EXPECT_NE(error.find("tick"), std::string::npos) << error;
   EXPECT_FALSE(run_scenario(spec, /*jobs=*/1, &error).has_value());
+}
+
+TEST(ScenarioSpecTest, NonFiniteHorizonAndIntervalsAreRejected) {
+  // An infinite horizon with fault.mtbf > 0 used to make the schedule draw
+  // forever; a NaN one used to run nothing and print an empty report.
+  ScenarioSpec spec;
+  std::string error;
+  for (const char* value : {"inf", "nan", "1e999"}) {
+    EXPECT_FALSE(spec.apply_line(std::string("max_sim_time ") + value, &error)) << value;
+    EXPECT_NE(error.find(std::string("max_sim_time '") + value + "' is not a positive duration"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(spec.apply_line(std::string("sampling_interval ") + value, &error)) << value;
+  }
+  EXPECT_EQ(spec.max_sim_time, ScenarioSpec().max_sim_time);
+}
+
+TEST(ToGridTest, NonFiniteDurationOverridesFailCleanly) {
+  for (const char* line : {"set tick=inf", "set fault.mtbf=nan", "set fault.mttr=inf"}) {
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(spec.apply_line("trace spec:jobs=10,duration=10", &error)) << error;
+    ASSERT_TRUE(spec.apply_line("policy g-loadsharing", &error)) << error;
+    ASSERT_TRUE(spec.apply_line(line, &error)) << error;
+    EXPECT_FALSE(to_grid(spec, &error).has_value()) << line;
+    EXPECT_NE(error.find("duration with optional unit suffix"), std::string::npos)
+        << line << ": " << error;
+  }
 }
 
 TEST(ToGridTest, AutoClusterRejectsMixedWorkloadGroups) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,29 @@ TEST(SimulatorTest, EqualTimesFireInInsertionOrder) {
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(SimulatorTest, ReservedSequencesBreakTiesAsOfTheReservation) {
+  // Events armed late on reserved numbers sort among same-time events as if
+  // they had been scheduled when the numbers were reserved: after `early`,
+  // before `late` (scheduled after the reservation but before the arming),
+  // and among themselves by number, not by arming order.
+  Simulator sim;
+  std::vector<std::string> order;
+  sim.schedule_at(10.0, [&] { order.push_back("early"); });
+  const std::uint64_t first = sim.reserve_sequences(2);
+  sim.schedule_at(10.0, [&] { order.push_back("late"); });
+  sim.schedule_at(5.0, [&] {
+    sim.schedule_at_sequence(10.0, first + 1, [&] { order.push_back("reserved+1"); });
+    sim.schedule_at_sequence(10.0, first, [&] {
+      order.push_back("reserved+0");
+      // Re-armed after firing: same number, still ahead of `late`.
+      sim.schedule_at_sequence(10.0, first, [&] { order.push_back("rearmed+0"); });
+    });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "reserved+0", "rearmed+0", "reserved+1",
+                                             "late"}));
 }
 
 TEST(SimulatorTest, NowAdvancesToEventTime) {

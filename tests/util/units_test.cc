@@ -86,5 +86,21 @@ TEST(ParseDurationTest, RejectsGarbageUnknownSuffixAndNegative) {
   EXPECT_FALSE(parse_duration("10msx", &out));
 }
 
+TEST(ParseDurationTest, RejectsNonFiniteNumbers) {
+  // strtod accepts these spellings; a duration or size never means them (an
+  // infinite horizon would make the fault generator draw forever).
+  SimTime seconds = 7.0;
+  Bytes bytes = 7;
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "+inf", "INFINITY", "infs", "nanms",
+                           "1e999", "1e999s"}) {
+    EXPECT_FALSE(parse_duration(text, &seconds)) << text;
+    EXPECT_FALSE(parse_bytes(text, &bytes)) << text;
+  }
+  EXPECT_FALSE(parse_bytes("infMB", &bytes));
+  EXPECT_FALSE(parse_bytes("nanKB", &bytes));
+  EXPECT_EQ(seconds, 7.0);
+  EXPECT_EQ(bytes, 7);
+}
+
 }  // namespace
 }  // namespace vrc
