@@ -32,7 +32,14 @@ int main(int argc, char** argv) {
       std::size_t end = mtbfs_flag.find(';', start);
       if (end == std::string::npos) end = mtbfs_flag.size();
       const std::string item = mtbfs_flag.substr(start, end - start);
-      if (!item.empty()) mtbfs.push_back(std::stod(item));
+      double mtbf = 0.0;
+      if (!item.empty()) {
+        if (!vrc::parse_real(item, &mtbf)) {
+          std::fprintf(stderr, "fault_matrix: invalid value for --mtbfs: '%s'\n", item.c_str());
+          return 1;
+        }
+        mtbfs.push_back(mtbf);
+      }
       if (end == mtbfs_flag.size()) break;
       start = end + 1;
     }

@@ -14,6 +14,7 @@
 // unknown policy, a bad param, or a bad config override.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/config.h"
@@ -51,11 +52,13 @@ int main(int argc, char** argv) {
   std::string policies;
   std::string overrides;
   std::string cluster;
-  int nodes = 0;           // 0: keep the scenario's value
-  int trials = 0;          // 0: keep the scenario's value
-  long long base_seed = -1;  // -1: keep the scenario's value
-  double sampling_interval = 0.0;
-  double max_sim_time = 0.0;
+  // Scalar flags stay text: an empty one keeps the scenario's value, and a
+  // set one goes verbatim to its directive, which parses and range-checks it.
+  std::string nodes;
+  std::string trials;
+  std::string base_seed;
+  std::string sampling_interval;
+  std::string max_sim_time;
   int jobs = 0;
   bool csv = false;
   bool malleable = false;
@@ -71,13 +74,12 @@ int main(int argc, char** argv) {
                    "';'-separated policy specs, e.g. g-loadsharing;v-reconf:early_release=0");
   flags.add_string("set", &overrides, "comma-separated config overrides, e.g. memory_threshold=0.9");
   flags.add_string("cluster", &cluster, "auto | paper1 | paper2");
-  flags.add_int("nodes", &nodes, "number of workstations (0: scenario default)");
-  flags.add_int("trials", &trials, "independent repetitions (0: scenario default)");
-  flags.add_int64("base-seed", &base_seed, "sweep base seed (-1: scenario default)");
-  flags.add_double("sampling-interval", &sampling_interval,
-                   "metric sampling interval in seconds (0: scenario default)");
-  flags.add_double("max-sim-time", &max_sim_time,
-                   "simulated-time safety cap in seconds (0: scenario default)");
+  flags.add_string("nodes", &nodes, "number of workstations");
+  flags.add_string("trials", &trials, "independent repetitions");
+  flags.add_string("base-seed", &base_seed, "sweep base seed");
+  flags.add_string("sampling-interval", &sampling_interval,
+                   "metric sampling interval, e.g. 10 or 500ms");
+  flags.add_string("max-sim-time", &max_sim_time, "simulated-time safety cap, e.g. 500000");
   flags.add_int("jobs", &jobs, "parallel worker threads (0 = one per hardware thread)");
   flags.add_bool("csv", &csv, "emit CSV instead of an ASCII table");
   flags.add_bool("malleable", &malleable,
@@ -145,19 +147,20 @@ int main(int argc, char** argv) {
   // Flags refine the loaded scenario: list flags append, scalar flags
   // override. Everything funnels through apply_line so the diagnostics match
   // the spec-file ones.
-  const bool ok =
-      apply_list(&spec, "trace", traces, &error) &&
-      apply_list(&spec, "policy", policies, &error) &&
-      (overrides.empty() || spec.apply_line("set " + overrides, &error)) &&
-      (cluster.empty() || spec.apply_line("cluster " + cluster, &error)) &&
-      (!malleable || spec.apply_line("malleable on", &error)) &&
-      (nodes == 0 || spec.apply_line("nodes " + std::to_string(nodes), &error)) &&
-      (trials == 0 || spec.apply_line("trials " + std::to_string(trials), &error)) &&
-      (base_seed < 0 || spec.apply_line("base_seed " + std::to_string(base_seed), &error)) &&
-      (sampling_interval == 0.0 ||
-       spec.apply_line("sampling_interval " + util::Table::fmt(sampling_interval, 6), &error)) &&
-      (max_sim_time == 0.0 ||
-       spec.apply_line("max_sim_time " + util::Table::fmt(max_sim_time, 6), &error));
+  bool ok = apply_list(&spec, "trace", traces, &error) &&
+            apply_list(&spec, "policy", policies, &error);
+  const std::pair<const char*, std::string> directives[] = {
+      {"set", overrides},
+      {"cluster", cluster},
+      {"malleable", malleable ? "on" : ""},
+      {"nodes", nodes},
+      {"trials", trials},
+      {"base_seed", base_seed},
+      {"sampling_interval", sampling_interval},
+      {"max_sim_time", max_sim_time}};
+  for (const auto& [directive, value] : directives) {
+    if (ok && !value.empty()) ok = spec.apply_line(std::string(directive) + " " + value, &error);
+  }
   if (!ok) {
     std::fprintf(stderr, "vrc_run: %s\n", error.c_str());
     return 1;

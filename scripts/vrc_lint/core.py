@@ -341,11 +341,13 @@ class Analyzer:
 def registry():
     """All analyzers in canonical run order. Imported lazily so the shim can
     import core without dragging every analyzer in."""
-    from vrc_lint import determinism, heap_order, layering, publish_audit
+    from vrc_lint import (determinism, heap_order, layering, number_parse,
+                          publish_audit)
     return [determinism.DeterminismAnalyzer(),
             layering.LayeringAnalyzer(),
             publish_audit.PublishAuditAnalyzer(),
-            heap_order.HeapOrderAnalyzer()]
+            heap_order.HeapOrderAnalyzer(),
+            number_parse.NumberParseAnalyzer()]
 
 
 def default_root():

@@ -1,8 +1,5 @@
 #include "cluster/config.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 namespace vrc::cluster {
 
 std::optional<RestartPolicy> parse_restart_policy(const std::string& text) {
@@ -39,77 +36,25 @@ ClusterConfig ClusterConfig::paper_cluster2(std::size_t count) {
 
 namespace {
 
-// One override assignment attempt: false + a "expected <type>, e.g. <ex>"
-// fragment in *expected on a malformed value.
-bool set_double(const std::string& value, double* out, std::string* expected) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || errno != 0 || end == value.c_str() || *end != '\0') {
-    *expected = "double, e.g. 0.85";
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
+// The "expected ..." fragment of a malformed value's message, per value type.
+constexpr const char* kDouble = "double, e.g. 0.85";
+constexpr const char* kInt = "int, e.g. 5";
+constexpr const char* kUint64 = "uint64, e.g. 42";
+constexpr const char* kBool = "bool, e.g. 1";
+constexpr const char* kBytes = "bytes with optional unit suffix, e.g. 128MB";
+constexpr const char* kDuration = "duration with optional unit suffix, e.g. 10ms";
 
-bool set_int(const std::string& value, int* out, std::string* expected) {
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || errno != 0 || end == value.c_str() || *end != '\0') {
-    *expected = "int, e.g. 5";
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool set_uint64(const std::string& value, std::uint64_t* out, std::string* expected) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || errno != 0 || end == value.c_str() || *end != '\0' ||
-      value.front() == '-') {
-    *expected = "uint64, e.g. 42";
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool set_bool(const std::string& value, bool* out, std::string* expected) {
-  if (value == "1" || value == "true" || value == "on" || value == "yes") {
-    *out = true;
-    return true;
-  }
-  if (value == "0" || value == "false" || value == "off" || value == "no") {
-    *out = false;
-    return true;
-  }
-  *expected = "bool, e.g. 1";
-  return false;
-}
-
-bool set_bytes(const std::string& value, Bytes* out, std::string* expected) {
-  if (!parse_bytes(value, out)) {
-    *expected = "bytes with optional unit suffix, e.g. 128MB";
-    return false;
-  }
-  return true;
-}
-
-bool set_duration(const std::string& value, SimTime* out, std::string* expected) {
-  if (!parse_duration(value, out)) {
-    *expected = "duration with optional unit suffix, e.g. 10ms";
-    return false;
-  }
-  return true;
+/// One override assignment attempt: `parsed` passes through, and a false one
+/// leaves `type` in *expected.
+bool expect(bool parsed, const char* type, std::string* expected) {
+  if (!parsed) *expected = type;
+  return parsed;
 }
 
 /// Narrows a parsed value to > 0: false + `example` in *expected otherwise.
-/// Zero periods never advance simulated time and zero speeds or bandwidths
-/// are divided by, so those keys reject them here.
+/// Zero periods never advance simulated time, zero speeds or bandwidths
+/// are divided by, and a node with no job slots never runs a job, so those
+/// keys reject them here.
 bool require_positive(double parsed, const char* example, std::string* expected) {
   if (parsed > 0.0) return true;
   *expected = example;
@@ -133,10 +78,8 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
   std::size_t first = 0;
   std::size_t last = config.nodes.size();  // exclusive
   if (index_text != "*") {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long index = std::strtoull(index_text.c_str(), &end, 10);
-    if (errno != 0 || end == index_text.c_str() || *end != '\0') {
+    std::size_t index = 0;
+    if (!parse_int(index_text, &index)) {
       *error = "config override '" + key + "': node index must be a number or '*'";
       return false;
     }
@@ -145,7 +88,7 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
                " out of range (cluster has " + std::to_string(config.nodes.size()) + " nodes)";
       return false;
     }
-    first = static_cast<std::size_t>(index);
+    first = index;
     last = first + 1;
   }
 
@@ -154,13 +97,13 @@ bool apply_node_override(ClusterConfig& config, const std::string& key,
     NodeConfig& node = config.nodes[i];
     bool ok = true;
     if (field == "cpu_mhz") {
-      ok = set_double(value, &node.cpu_mhz, &expected);
+      ok = expect(parse_real(value, &node.cpu_mhz), kDouble, &expected);
     } else if (field == "memory") {
-      ok = set_bytes(value, &node.memory, &expected);
+      ok = expect(parse_bytes(value, &node.memory), kBytes, &expected);
     } else if (field == "swap") {
-      ok = set_bytes(value, &node.swap, &expected);
+      ok = expect(parse_bytes(value, &node.swap), kBytes, &expected);
     } else if (field == "kernel_reserved") {
-      ok = set_bytes(value, &node.kernel_reserved, &expected);
+      ok = expect(parse_bytes(value, &node.kernel_reserved), kBytes, &expected);
     } else {
       *error = "config override '" + key + "': unknown node field '" + field +
                "' (known fields: cpu_mhz, memory, swap, kernel_reserved)";
@@ -198,11 +141,8 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
     bool ok = true;
     if (key == "nodes") {
       int count = 0;
-      ok = set_int(value, &count, &expected);
-      if (ok && count <= 0) {
-        ok = false;
-        expected = "positive int, e.g. 32";
-      }
+      ok = expect(parse_int(value, &count), kInt, &expected) &&
+           require_positive(count, "positive int, e.g. 32", &expected);
       if (ok) {
         if (updated.nodes.empty()) {
           *err = "config override 'nodes': cannot resize a cluster with no node template";
@@ -211,83 +151,68 @@ bool ClusterConfig::apply_overrides(const std::map<std::string, std::string>& ov
         updated.nodes.assign(static_cast<std::size_t>(count), updated.nodes[0]);
       }
     } else if (key == "reference_mhz") {
-      ok = set_double(value, &updated.reference_mhz, &expected) &&
+      ok = expect(parse_real(value, &updated.reference_mhz), kDouble, &expected) &&
            require_positive(updated.reference_mhz, "positive double, e.g. 400", &expected);
     } else if (key == "page_size") {
-      ok = set_bytes(value, &updated.page_size, &expected);
+      ok = expect(parse_bytes(value, &updated.page_size), kBytes, &expected);
     } else if (key == "page_fault_service") {
-      ok = set_duration(value, &updated.page_fault_service, &expected);
+      ok = expect(parse_duration(value, &updated.page_fault_service), kDuration, &expected);
     } else if (key == "context_switch") {
-      ok = set_duration(value, &updated.context_switch, &expected);
+      ok = expect(parse_duration(value, &updated.context_switch), kDuration, &expected);
     } else if (key == "quantum") {
-      ok = set_duration(value, &updated.quantum, &expected) &&
+      ok = expect(parse_duration(value, &updated.quantum), kDuration, &expected) &&
            require_positive(updated.quantum, "positive duration, e.g. 100ms", &expected);
     } else if (key == "tick") {
-      ok = set_duration(value, &updated.tick, &expected) &&
+      ok = expect(parse_duration(value, &updated.tick), kDuration, &expected) &&
            require_positive(updated.tick, "positive duration, e.g. 10ms", &expected);
     } else if (key == "network_mbps") {
-      ok = set_double(value, &updated.network_mbps, &expected) &&
+      ok = expect(parse_real(value, &updated.network_mbps), kDouble, &expected) &&
            require_positive(updated.network_mbps, "positive double, e.g. 10", &expected);
     } else if (key == "remote_submit_cost") {
-      ok = set_duration(value, &updated.remote_submit_cost, &expected);
+      ok = expect(parse_duration(value, &updated.remote_submit_cost), kDuration, &expected);
     } else if (key == "network_contention") {
-      ok = set_bool(value, &updated.network_contention, &expected);
+      ok = expect(parse_bool(value, &updated.network_contention), kBool, &expected);
     } else if (key == "cpu_threshold") {
-      ok = set_int(value, &updated.cpu_threshold, &expected);
+      ok = expect(parse_int(value, &updated.cpu_threshold), kInt, &expected) &&
+           require_positive(updated.cpu_threshold, "positive int, e.g. 4", &expected);
     } else if (key == "memory_threshold") {
-      ok = set_double(value, &updated.memory_threshold, &expected);
+      ok = expect(parse_real(value, &updated.memory_threshold), kDouble, &expected);
     } else if (key == "admission_demand_estimate") {
-      ok = set_bytes(value, &updated.admission_demand_estimate, &expected);
+      ok = expect(parse_bytes(value, &updated.admission_demand_estimate), kBytes, &expected);
     } else if (key == "fault_rate_threshold") {
-      ok = set_double(value, &updated.fault_rate_threshold, &expected);
+      ok = expect(parse_real(value, &updated.fault_rate_threshold), kDouble, &expected);
     } else if (key == "fault_rate_tau") {
-      ok = set_duration(value, &updated.fault_rate_tau, &expected);
+      ok = expect(parse_duration(value, &updated.fault_rate_tau), kDuration, &expected);
     } else if (key == "load_exchange_period") {
-      ok = set_duration(value, &updated.load_exchange_period, &expected) &&
-           require_positive(updated.load_exchange_period, "positive duration, e.g. 1s",
-                            &expected);
+      ok = expect(parse_duration(value, &updated.load_exchange_period), kDuration, &expected) &&
+           require_positive(updated.load_exchange_period, "positive duration, e.g. 1s", &expected);
     } else if (key == "policy_period") {
-      ok = set_duration(value, &updated.policy_period, &expected) &&
+      ok = expect(parse_duration(value, &updated.policy_period), kDuration, &expected) &&
            require_positive(updated.policy_period, "positive duration, e.g. 1s", &expected);
     } else if (key == "pressure_callback_interval") {
-      ok = set_duration(value, &updated.pressure_callback_interval, &expected);
+      ok = expect(parse_duration(value, &updated.pressure_callback_interval), kDuration,
+                  &expected);
     } else if (key == "migration_cooldown") {
-      ok = set_duration(value, &updated.migration_cooldown, &expected);
+      ok = expect(parse_duration(value, &updated.migration_cooldown), kDuration, &expected);
     } else if (key == "resize.fixed_cost") {
-      ok = set_duration(value, &updated.resize_fixed_cost, &expected);
-      if (ok && updated.resize_fixed_cost < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 0.5s";
-      }
+      ok = expect(parse_duration(value, &updated.resize_fixed_cost), kDuration, &expected);
     } else if (key == "resize.per_slot_cost") {
-      ok = set_duration(value, &updated.resize_per_slot_cost, &expected);
-      if (ok && updated.resize_per_slot_cost < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 0.25s";
-      }
+      ok = expect(parse_duration(value, &updated.resize_per_slot_cost), kDuration, &expected);
     } else if (key == "resize.min_interval") {
-      ok = set_duration(value, &updated.resize_min_interval, &expected);
-      if (ok && updated.resize_min_interval < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 2s (0 disables)";
-      }
+      ok = expect(parse_duration(value, &updated.resize_min_interval), kDuration, &expected);
     } else if (key == "fault_exposure_knee") {
-      ok = set_double(value, &updated.fault_exposure_knee, &expected);
+      ok = expect(parse_real(value, &updated.fault_exposure_knee), kDouble, &expected);
     } else if (key == "stochastic_faults") {
-      ok = set_bool(value, &updated.stochastic_faults, &expected);
+      ok = expect(parse_bool(value, &updated.stochastic_faults), kBool, &expected);
     } else if (key == "seed") {
-      ok = set_uint64(value, &updated.seed, &expected);
+      ok = expect(parse_int(value, &updated.seed), kUint64, &expected);
     } else if (key == "fault.mtbf") {
-      ok = set_duration(value, &updated.fault_mtbf, &expected);
-      if (ok && updated.fault_mtbf < 0.0) {
-        ok = false;
-        expected = "non-negative duration, e.g. 2000s (0 disables)";
-      }
+      ok = expect(parse_duration(value, &updated.fault_mtbf), kDuration, &expected);
     } else if (key == "fault.mttr") {
-      ok = set_duration(value, &updated.fault_mttr, &expected) &&
+      ok = expect(parse_duration(value, &updated.fault_mttr), kDuration, &expected) &&
            require_positive(updated.fault_mttr, "positive duration, e.g. 60s", &expected);
     } else if (key == "fault.seed") {
-      ok = set_uint64(value, &updated.fault_seed, &expected);
+      ok = expect(parse_int(value, &updated.fault_seed), kUint64, &expected);
     } else if (key == "fault.restart") {
       if (parse_restart_policy(value)) {
         updated.fault_restart = value;

@@ -1,8 +1,6 @@
 #include "core/policy_registry.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/baselines.h"
@@ -10,6 +8,7 @@
 #include "core/m_reconfiguration.h"
 #include "core/oracle.h"
 #include "core/v_reconfiguration.h"
+#include "util/units.h"
 
 namespace vrc::core {
 
@@ -43,66 +42,21 @@ std::optional<PolicySpec> PolicySpec::parse(const std::string& text, std::string
   if (param_text.empty()) {
     return fail("policy spec '" + text + "': ':' must be followed by key=value params");
   }
-  std::size_t start = 0;
-  while (start <= param_text.size()) {
-    std::size_t end = param_text.find(',', start);
-    if (end == std::string::npos) end = param_text.size();
-    const std::string item = param_text.substr(start, end - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      return fail("policy spec '" + text + "': param '" + item +
-                  "' is not of the form key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key.empty()) return fail("policy spec '" + text + "': empty param key");
-    if (spec.params.count(key) != 0) {
+  ParamPairs pairs;
+  std::string bad;
+  if (!split_params(param_text, &pairs, &bad)) {
+    if (bad.find('=') == 0) return fail("policy spec '" + text + "': empty param key");
+    return fail("policy spec '" + text + "': param '" + bad + "' is not of the form key=value");
+  }
+  for (auto& [key, value] : pairs) {
+    if (!spec.params.emplace(key, std::move(value)).second) {
       return fail("policy spec '" + text + "': duplicate param '" + key + "'");
     }
-    spec.params[key] = value;
-    if (end == param_text.size()) break;
-    start = end + 1;
   }
   return spec;
 }
 
 // --- ParamReader ------------------------------------------------------------
-
-namespace {
-
-bool parse_bool_text(const std::string& text, bool* out) {
-  if (text == "1" || text == "true" || text == "on" || text == "yes") {
-    *out = true;
-    return true;
-  }
-  if (text == "0" || text == "false" || text == "off" || text == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-bool parse_int64_text(const std::string& text, long long* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-bool parse_double_text(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
-}  // namespace
 
 ParamReader::ParamReader(std::string policy_name, const PolicyParams& params)
     : policy_(std::move(policy_name)), params_(params) {}
@@ -122,30 +76,25 @@ void ParamReader::fail(const std::string& key, const std::string& value, const s
 
 void ParamReader::read_bool(const std::string& key, bool* out) {
   if (const std::string* value = find(key)) {
-    if (!parse_bool_text(*value, out)) fail(key, *value, "bool", "0");
+    if (!parse_bool(*value, out)) fail(key, *value, "bool", "0");
   }
 }
 
 void ParamReader::read_int(const std::string& key, int* out) {
   if (const std::string* value = find(key)) {
-    long long wide = 0;
-    if (!parse_int64_text(*value, &wide)) {
-      fail(key, *value, "int", "2");
-      return;
-    }
-    *out = static_cast<int>(wide);
+    if (!parse_int(*value, out)) fail(key, *value, "int", "2");
   }
 }
 
 void ParamReader::read_int64(const std::string& key, long long* out) {
   if (const std::string* value = find(key)) {
-    if (!parse_int64_text(*value, out)) fail(key, *value, "int", "7");
+    if (!parse_int(*value, out)) fail(key, *value, "int", "7");
   }
 }
 
 void ParamReader::read_double(const std::string& key, double* out) {
   if (const std::string* value = find(key)) {
-    if (!parse_double_text(*value, out)) fail(key, *value, "double", "1.5");
+    if (!parse_real(*value, out)) fail(key, *value, "double", "1.5");
   }
 }
 

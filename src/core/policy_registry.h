@@ -77,8 +77,10 @@ struct PolicyParamDoc {
 
 /// Validating reader for a factory's PolicyParams. Each read_* records a
 /// precise error on a malformed value; finish() additionally rejects keys no
-/// read_* consumed. bool accepts 0/1/true/false/on/off; duration accepts
-/// unit suffixes ("10ms", "2min", plain seconds).
+/// read_* consumed. Values use the util/units.h grammar (DESIGN.md §9.5):
+/// bool accepts 0/1/true/false/on/off/yes/no, an int must fit its field, a
+/// double must be finite, and duration accepts unit suffixes ("10ms",
+/// "2min", plain seconds).
 class ParamReader {
  public:
   ParamReader(std::string policy_name, const PolicyParams& params);

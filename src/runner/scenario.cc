@@ -1,7 +1,5 @@
 #include "runner/scenario.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -22,29 +20,6 @@ std::string trim(const std::string& text) {
   if (first == std::string::npos) return "";
   const std::size_t last = text.find_last_not_of(" \t\r");
   return text.substr(first, last - first + 1);
-}
-
-bool parse_positive_int(const std::string& value, long* out) {
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' || errno == ERANGE || parsed <= 0) {
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool parse_uint64(const std::string& value, std::uint64_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' || errno == ERANGE ||
-      value.front() == '-') {
-    return false;
-  }
-  *out = parsed;
-  return true;
 }
 
 constexpr const char* kKnownDirectives =
@@ -102,30 +77,33 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     return true;
   }
   if (directive == "nodes") {
-    long value = 0;
-    if (!parse_positive_int(arg, &value)) {
+    std::size_t value = 0;
+    if (!parse_int(arg, &value) || value == 0) {
       return fail(error, "nodes '" + arg + "' is not a positive int (e.g. nodes 32)");
     }
-    nodes = static_cast<std::size_t>(value);
+    nodes = value;
     return true;
   }
   if (directive == "set") {
-    // One or more comma-separated key=value config overrides; a later `set`
-    // of the same key wins. Values are validated by apply_overrides when the
-    // scenario is materialized.
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-      std::size_t end = arg.find(',', start);
-      if (end == std::string::npos) end = arg.size();
-      const std::string item = trim(arg.substr(start, end - start));
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return fail(error, "set '" + item + "' is not key=value (e.g. set memory_threshold=0.9)");
+    // One or more comma-separated key=value config overrides, spaces around
+    // keys and values ignored; a later value of the same key wins. Values are
+    // validated by apply_overrides when the scenario is materialized.
+    ParamPairs pairs;
+    std::string bad;
+    bool ok = split_params(arg, &pairs, &bad);
+    for (auto& [key, value] : pairs) {
+      key = trim(key);
+      value = trim(value);
+      if (ok && key.empty()) {
+        bad = "=" + value;
+        ok = false;
       }
-      config_overrides[item.substr(0, eq)] = item.substr(eq + 1);
-      if (end == arg.size()) break;
-      start = end + 1;
     }
+    if (!ok) {
+      return fail(error,
+                  "set '" + trim(bad) + "' is not key=value (e.g. set memory_threshold=0.9)");
+    }
+    for (auto& [key, value] : pairs) config_overrides[key] = std::move(value);
     return true;
   }
   if (directive == "fault") {
@@ -150,28 +128,22 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       if (key == "node") {
-        std::uint64_t index = 0;
-        if (!parse_uint64(value, &index)) {
+        if (!parse_int(value, &entry.node)) {
           return fail(error, "fault node '" + value +
                                  "' is not a non-negative int (e.g. node=2)");
         }
-        entry.node = static_cast<workload::NodeId>(index);
         have_node = true;
       } else if (key == "at") {
-        double at = 0.0;
-        if (!parse_duration(value, &at) || at < 0.0) {
+        if (!parse_duration(value, &entry.at)) {
           return fail(error, "fault at '" + value +
                                  "' is not a non-negative duration (e.g. at=100)");
         }
-        entry.at = at;
         have_at = true;
       } else if (key == "for") {
-        double duration = 0.0;
-        if (!parse_duration(value, &duration) || duration <= 0.0) {
+        if (!parse_duration(value, &entry.duration) || entry.duration <= 0.0) {
           return fail(error,
                       "fault for '" + value + "' is not a positive duration (e.g. for=60)");
         }
-        entry.duration = duration;
         have_for = true;
       } else {
         return fail(error, "fault field '" + key + "' unknown (expected node=, at=, for=)");
@@ -196,19 +168,17 @@ bool ScenarioSpec::apply_line(const std::string& raw, std::string* error) {
     return true;
   }
   if (directive == "trials") {
-    long value = 0;
-    if (!parse_positive_int(arg, &value)) {
+    int value = 0;
+    if (!parse_int(arg, &value) || value <= 0) {
       return fail(error, "trials '" + arg + "' is not a positive int (e.g. trials 3)");
     }
-    trials = static_cast<int>(value);
+    trials = value;
     return true;
   }
   if (directive == "base_seed") {
-    std::uint64_t value = 0;
-    if (!parse_uint64(arg, &value)) {
+    if (!parse_int(arg, &base_seed)) {
       return fail(error, "base_seed '" + arg + "' is not a uint64 (e.g. base_seed 7)");
     }
-    base_seed = value;
     return true;
   }
   if (directive == "sampling_interval") {

@@ -3,37 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <stdexcept>
+
+#include "util/units.h"
 
 namespace vrc::util {
-
-namespace {
-
-bool parse_int64(const std::string& text, long long* out) {
-  try {
-    size_t pos = 0;
-    long long v = std::stoll(text, &pos);
-    if (pos != text.size()) return false;
-    *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_double(const std::string& text, double* out) {
-  try {
-    size_t pos = 0;
-    double v = std::stod(text, &pos);
-    if (pos != text.size()) return false;
-    *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
 
 void FlagSet::add(const std::string& name, Flag flag) {
   if (!flags_.emplace(name, std::move(flag)).second) {
@@ -45,12 +18,7 @@ void FlagSet::add(const std::string& name, Flag flag) {
 void FlagSet::add_int(const std::string& name, int* target, std::string help) {
   Flag f;
   f.help = std::move(help);
-  f.set = [target](const std::string& v) {
-    long long tmp = 0;
-    if (!parse_int64(v, &tmp)) return false;
-    *target = static_cast<int>(tmp);
-    return true;
-  };
+  f.set = [target](const std::string& v) { return parse_int(v, target); };
   f.default_value = [target] { return std::to_string(*target); };
   add(name, std::move(f));
 }
@@ -58,7 +26,7 @@ void FlagSet::add_int(const std::string& name, int* target, std::string help) {
 void FlagSet::add_int64(const std::string& name, long long* target, std::string help) {
   Flag f;
   f.help = std::move(help);
-  f.set = [target](const std::string& v) { return parse_int64(v, target); };
+  f.set = [target](const std::string& v) { return parse_int(v, target); };
   f.default_value = [target] { return std::to_string(*target); };
   add(name, std::move(f));
 }
@@ -66,7 +34,7 @@ void FlagSet::add_int64(const std::string& name, long long* target, std::string 
 void FlagSet::add_double(const std::string& name, double* target, std::string help) {
   Flag f;
   f.help = std::move(help);
-  f.set = [target](const std::string& v) { return parse_double(v, target); };
+  f.set = [target](const std::string& v) { return parse_real(v, target); };
   f.default_value = [target] { return std::to_string(*target); };
   add(name, std::move(f));
 }
@@ -76,13 +44,8 @@ void FlagSet::add_bool(const std::string& name, bool* target, std::string help) 
   f.help = std::move(help);
   f.is_bool = true;
   f.set = [target](const std::string& v) {
-    if (v == "" || v == "true" || v == "1") {
-      *target = true;
-    } else if (v == "false" || v == "0") {
-      *target = false;
-    } else {
-      return false;
-    }
+    if (!v.empty()) return parse_bool(v, target);
+    *target = true;  // a bare --flag
     return true;
   };
   f.default_value = [target] { return *target ? "true" : "false"; };

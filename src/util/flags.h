@@ -10,6 +10,9 @@
 //
 // Unknown flags are a hard error (they indicate a typo in an experiment
 // sweep); positional arguments are collected and available via positional().
+// Values are read by util/units.h's parse_int / parse_real / parse_bool, so an
+// int that does not fit, a NaN or an infinity is a bad value; a bare --flag
+// sets a bool flag to true.
 #pragma once
 
 #include <functional>

@@ -1,10 +1,9 @@
 #include "workload/trace_spec.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
+#include "util/units.h"
 #include "workload/swf_source.h"
 
 namespace vrc::workload {
@@ -90,25 +89,19 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
+/// Splits `text` (the params after the colon) into keys, rejecting a
+/// malformed item or a repeated key.
 bool parse_key_values(const std::string& text, const std::string& whole,
                       std::map<std::string, std::string>* out, std::string* error) {
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find(',', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(start, end - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return fail(error,
-                  "trace spec '" + whole + "': param '" + item + "' is not key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    if (out->count(key) != 0) {
+  ParamPairs pairs;
+  std::string bad;
+  if (!split_params(text, &pairs, &bad)) {
+    return fail(error, "trace spec '" + whole + "': param '" + bad + "' is not key=value");
+  }
+  for (auto& [key, value] : pairs) {
+    if (!out->emplace(key, std::move(value)).second) {
       return fail(error, "trace spec '" + whole + "': duplicate param '" + key + "'");
     }
-    (*out)[key] = item.substr(eq + 1);
-    if (end == text.size()) break;
-    start = end + 1;
   }
   return true;
 }
@@ -125,78 +118,8 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
   const std::size_t colon = text.find(':');
   const std::string group_name = text.substr(0, colon);
   TraceSpec spec;
-  if (group_name == "swf") {
-    std::map<std::string, std::string> params;
-    if (colon != std::string::npos) {
-      if (!parse_key_values(text.substr(colon + 1), text, &params, error)) return std::nullopt;
-    }
-    for (const auto& [key, value] : params) {
-      errno = 0;
-      char* end = nullptr;
-      if (key == "file") {
-        if (value.empty()) {
-          value_error(error, text, key, value, "path", "tests/data/swf/NASA-iPSC-1993-3.swf");
-          return std::nullopt;
-        }
-        spec.swf_file = value;
-      } else if (key == "scale") {
-        const double scale = std::strtod(value.c_str(), &end);
-        if (value.empty() || end == value.c_str() || *end != '\0' || scale <= 0.0) {
-          value_error(error, text, key, value, "positive double", "0.1");
-          return std::nullopt;
-        }
-        spec.swf_scale = scale;
-      } else if (key == "max_jobs") {
-        const long max_jobs = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || end == value.c_str() || *end != '\0' || max_jobs <= 0) {
-          value_error(error, text, key, value, "positive int", "200");
-          return std::nullopt;
-        }
-        spec.swf_max_jobs = static_cast<std::size_t>(max_jobs);
-      } else if (key == "min_runtime") {
-        if (!parse_duration(value, &spec.swf_min_runtime) || spec.swf_min_runtime < 0.0) {
-          value_error(error, text, key, value, "non-negative duration", "10");
-          return std::nullopt;
-        }
-      } else if (key == "group") {
-        if (!parse_workload_group(value, &spec.group)) {
-          value_error(error, text, key, value, "spec or apps", "apps");
-          return std::nullopt;
-        }
-      } else if (key == "profile") {
-        if (value != "flat" && value != "ramp") {
-          value_error(error, text, key, value, "flat or ramp", "ramp");
-          return std::nullopt;
-        }
-        spec.swf_profile = value;
-      } else if (key == "nodes") {
-        const long nodes = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || end == value.c_str() || *end != '\0' || nodes <= 0) {
-          value_error(error, text, key, value, "positive int", "32");
-          return std::nullopt;
-        }
-        spec.num_nodes = static_cast<std::uint32_t>(nodes);
-      } else if (key == "name") {
-        if (value.empty()) {
-          value_error(error, text, key, value, "non-empty string", "nasa-replay");
-          return std::nullopt;
-        }
-        spec.name = value;
-      } else {
-        fail(error, "trace spec '" + text + "': unknown key '" + key +
-                        "' (known swf keys: file, scale, max_jobs, min_runtime, group, profile, "
-                        "nodes, name)");
-        return std::nullopt;
-      }
-    }
-    std::string semantic;
-    if (!spec.validate(&semantic)) {
-      fail(error, "trace spec '" + text + "': " + semantic);
-      return std::nullopt;
-    }
-    return spec;
-  }
-  if (!parse_workload_group(group_name, &spec.group)) {
+  const bool swf = group_name == "swf";
+  if (!swf && !parse_workload_group(group_name, &spec.group)) {
     fail(error, "trace spec '" + text + "': unknown workload group '" + group_name +
                     "' (expected spec, apps, or swf)");
     return std::nullopt;
@@ -207,87 +130,79 @@ std::optional<TraceSpec> TraceSpec::parse(const std::string& text, std::string* 
   }
 
   for (const auto& [key, value] : params) {
-    errno = 0;
-    char* end = nullptr;
-    if (key == "trace") {
-      const long index = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0') {
-        value_error(error, text, key, value, "int 1..5", "3");
-        return std::nullopt;
-      }
-      spec.standard_index = static_cast<int>(index);
-    } else if (key == "jobs") {
-      const long jobs = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || jobs <= 0) {
-        value_error(error, text, key, value, "positive int", "400");
-        return std::nullopt;
-      }
-      spec.num_jobs = static_cast<std::size_t>(jobs);
-    } else if (key == "duration") {
-      if (!parse_duration(value, &spec.duration) || spec.duration <= 0.0) {
-        value_error(error, text, key, value, "positive duration", "1800");
-        return std::nullopt;
-      }
-    } else if (key == "arrival_scale") {
-      const double scale = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0' || scale <= 0.0) {
-        value_error(error, text, key, value, "positive double", "1.5");
-        return std::nullopt;
-      }
-      spec.arrival_scale = scale;
-    } else if (key == "seed") {
-      const unsigned long long seed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || value.front() == '-') {
-        value_error(error, text, key, value, "uint64", "9");
-        return std::nullopt;
-      }
-      spec.seed = seed;
-    } else if (key == "malleable") {
-      const double fraction = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0' || fraction < 0.0 ||
-          fraction > 1.0) {
-        value_error(error, text, key, value, "double in [0, 1]", "0.5");
-        return std::nullopt;
-      }
-      spec.malleable_fraction = fraction;
-    } else if (key == "malleable_min") {
-      const long width = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || width < 1) {
-        value_error(error, text, key, value, "int >= 1", "1");
-        return std::nullopt;
-      }
-      spec.malleable_min_width = static_cast<int>(width);
-    } else if (key == "malleable_max") {
-      const long width = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || width < 1) {
-        value_error(error, text, key, value, "int >= 1", "3");
-        return std::nullopt;
-      }
-      spec.malleable_max_width = static_cast<int>(width);
-    } else if (key == "malleable_alpha") {
-      const double alpha = std::strtod(value.c_str(), &end);
-      if (value.empty() || end == value.c_str() || *end != '\0' || alpha < 0.0 || alpha > 1.0) {
-        value_error(error, text, key, value, "double in [0, 1]", "0.8");
-        return std::nullopt;
-      }
-      spec.malleable_speedup_alpha = alpha;
-    } else if (key == "nodes") {
-      const long nodes = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == value.c_str() || *end != '\0' || nodes <= 0) {
-        value_error(error, text, key, value, "positive int", "32");
-        return std::nullopt;
-      }
-      spec.num_nodes = static_cast<std::uint32_t>(nodes);
+    // The expected type and an example value, set when `value` is rejected.
+    const char* type = nullptr;
+    const char* example = nullptr;
+    auto reject = [&](const char* expected_type, const char* example_value) {
+      type = expected_type;
+      example = example_value;
+    };
+    if (key == "nodes") {
+      if (!parse_int(value, &spec.num_nodes) || spec.num_nodes == 0) reject("positive int", "32");
     } else if (key == "name") {
-      if (value.empty()) {
-        value_error(error, text, key, value, "non-empty string", "my-trace");
-        return std::nullopt;
-      }
       spec.name = value;
+      if (value.empty()) reject("non-empty string", swf ? "nasa-replay" : "my-trace");
+    } else if (swf && key == "file") {
+      spec.swf_file = value;
+      if (value.empty()) reject("path", "tests/data/swf/NASA-iPSC-1993-3.swf");
+    } else if (swf && key == "scale") {
+      if (!parse_real(value, &spec.swf_scale) || spec.swf_scale <= 0.0) {
+        reject("positive double", "0.1");
+      }
+    } else if (swf && key == "max_jobs") {
+      if (!parse_int(value, &spec.swf_max_jobs) || spec.swf_max_jobs == 0) {
+        reject("positive int", "200");
+      }
+    } else if (swf && key == "min_runtime") {
+      if (!parse_duration(value, &spec.swf_min_runtime)) reject("non-negative duration", "10");
+    } else if (swf && key == "group") {
+      if (!parse_workload_group(value, &spec.group)) reject("spec or apps", "apps");
+    } else if (swf && key == "profile") {
+      spec.swf_profile = value;
+      if (value != "flat" && value != "ramp") reject("flat or ramp", "ramp");
+    } else if (!swf && key == "trace") {
+      if (!parse_int(value, &spec.standard_index)) reject("int 1..5", "3");
+    } else if (!swf && key == "jobs") {
+      if (!parse_int(value, &spec.num_jobs) || spec.num_jobs == 0) reject("positive int", "400");
+    } else if (!swf && key == "duration") {
+      if (!parse_duration(value, &spec.duration) || spec.duration <= 0.0) {
+        reject("positive duration", "1800");
+      }
+    } else if (!swf && key == "arrival_scale") {
+      if (!parse_real(value, &spec.arrival_scale) || spec.arrival_scale <= 0.0) {
+        reject("positive double", "1.5");
+      }
+    } else if (!swf && key == "seed") {
+      if (!parse_int(value, &spec.seed)) reject("uint64", "9");
+    } else if (!swf && key == "malleable") {
+      if (!parse_real(value, &spec.malleable_fraction) || spec.malleable_fraction < 0.0 ||
+          spec.malleable_fraction > 1.0) {
+        reject("double in [0, 1]", "0.5");
+      }
+    } else if (!swf && key == "malleable_min") {
+      if (!parse_int(value, &spec.malleable_min_width) || spec.malleable_min_width < 1) {
+        reject("int >= 1", "1");
+      }
+    } else if (!swf && key == "malleable_max") {
+      if (!parse_int(value, &spec.malleable_max_width) || spec.malleable_max_width < 1) {
+        reject("int >= 1", "3");
+      }
+    } else if (!swf && key == "malleable_alpha") {
+      if (!parse_real(value, &spec.malleable_speedup_alpha) ||
+          spec.malleable_speedup_alpha < 0.0 || spec.malleable_speedup_alpha > 1.0) {
+        reject("double in [0, 1]", "0.8");
+      }
     } else {
       fail(error, "trace spec '" + text + "': unknown key '" + key +
-                      "' (known keys: trace, jobs, duration, arrival_scale, seed, malleable, "
-                      "malleable_min, malleable_max, malleable_alpha, nodes, name)");
+                      (swf ? "' (known swf keys: file, scale, max_jobs, min_runtime, group, "
+                             "profile, nodes, name)"
+                           : "' (known keys: trace, jobs, duration, arrival_scale, seed, "
+                             "malleable, malleable_min, malleable_max, malleable_alpha, nodes, "
+                             "name)"));
+      return std::nullopt;
+    }
+    if (type != nullptr) {
+      value_error(error, text, key, value, type, example);
       return std::nullopt;
     }
   }

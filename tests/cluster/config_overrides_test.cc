@@ -97,12 +97,28 @@ TEST(ApplyOverridesTest, MalformedValueNamesKeyTypeAndExample) {
   EXPECT_NE(error.find("expected bytes"), std::string::npos) << error;
   EXPECT_FALSE(config.apply_overrides({{"nodes", "0"}}, &error));
   EXPECT_NE(error.find("positive int"), std::string::npos) << error;
+
+  // Values that once wrapped or went through as NaN: 2^32 slots became 0,
+  // " -1" became seed 2^64-1, and a NaN threshold compared false everywhere.
+  EXPECT_FALSE(config.apply_overrides({{"cpu_threshold", "4294967296"}}, &error));
+  EXPECT_NE(error.find("'cpu_threshold': invalid value '4294967296' (expected int"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(config.apply_overrides({{"memory_threshold", "nan"}}, &error));
+  EXPECT_NE(error.find("invalid value 'nan' (expected double, e.g. 0.85)"), std::string::npos)
+      << error;
+  EXPECT_FALSE(config.apply_overrides({{"node.*.cpu_mhz", "inf"}}, &error));
+  EXPECT_NE(error.find("invalid value 'inf' (expected double"), std::string::npos) << error;
+  EXPECT_FALSE(config.apply_overrides({{"seed", " -1"}}, &error));
+  EXPECT_NE(error.find("invalid value ' -1' (expected uint64"), std::string::npos) << error;
+  EXPECT_EQ(config.cpu_threshold, ClusterConfig::paper_cluster1(2).cpu_threshold);
 }
 
-// Periods that must advance simulated time and speeds/bandwidths that are
-// divided by: zero or negative values are rejected up front instead of
-// hanging the run (tick, periods, quantum) or corrupting its accounting
-// (reference_mhz, network_mbps).
+// Periods that must advance simulated time, speeds/bandwidths that are
+// divided by, and the per-node slot count: zero or negative values are
+// rejected up front instead of hanging the run (tick, periods, quantum),
+// corrupting its accounting (reference_mhz, network_mbps) or completing no
+// job at all (cpu_threshold).
 class PositiveOverrideTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PositiveOverrideTest, ZeroAndNegativeAreRejected) {
@@ -127,7 +143,8 @@ TEST_P(PositiveOverrideTest, ZeroAndNegativeAreRejected) {
 
 INSTANTIATE_TEST_SUITE_P(DegenerateValues, PositiveOverrideTest,
                          ::testing::Values("tick", "load_exchange_period", "policy_period",
-                                           "quantum", "reference_mhz", "network_mbps"),
+                                           "quantum", "reference_mhz", "network_mbps",
+                                           "cpu_threshold"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

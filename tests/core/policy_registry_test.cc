@@ -122,6 +122,17 @@ TEST(PolicyRegistryTest, MalformedValueErrorGivesTypeAndExample) {
   EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"reserve_timeout", "2 fortnights"}}), &error),
             nullptr);
   EXPECT_NE(error.find("expected duration"), std::string::npos) << error;
+
+  // NaN and ints past the destination's range are malformed, not wrapped.
+  EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"big_job_factor", "nan"}}), &error), nullptr);
+  EXPECT_NE(error.find("invalid value 'nan' for param 'big_job_factor' (expected double"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(make_policy(PolicySpec("v-reconf", {{"max_reservations", "4294967296"}}), &error),
+            nullptr);
+  EXPECT_NE(error.find("invalid value '4294967296' for param 'max_reservations'"),
+            std::string::npos)
+      << error;
 }
 
 TEST(PolicyRegistryTest, DurationParamsAcceptUnitSuffixes) {

@@ -68,6 +68,14 @@ TEST(ScenarioSpecTest, ApplyLineRejectsEachFailureClassPrecisely) {
   EXPECT_FALSE(spec.apply_line("nodes eight", &error));
   EXPECT_NE(error.find("not a positive int"), std::string::npos) << error;
   EXPECT_FALSE(spec.apply_line("trials 0", &error));
+  EXPECT_FALSE(spec.apply_line("trials 4294967298", &error));  // once ran 2 trials
+  EXPECT_NE(error.find("trials '4294967298' is not a positive int"), std::string::npos) << error;
+  EXPECT_FALSE(spec.apply_line("nodes 18446744073709551617", &error));
+  EXPECT_NE(error.find("not a positive int"), std::string::npos) << error;
+  // A bad item rejects the whole line: no earlier item is applied.
+  EXPECT_FALSE(spec.apply_line("set memory_threshold=0.9,tick", &error));
+  EXPECT_NE(error.find("set 'tick' is not key=value"), std::string::npos) << error;
+  EXPECT_TRUE(spec.config_overrides.empty());
   EXPECT_FALSE(spec.apply_line("set memory_threshold", &error));
   EXPECT_NE(error.find("not key=value"), std::string::npos) << error;
   EXPECT_FALSE(spec.apply_line("sampling_interval -3", &error));
@@ -122,6 +130,9 @@ TEST(ScenarioSpecTest, FaultDirectiveRejectsEachFailureClassPrecisely) {
       << error;
   EXPECT_FALSE(spec.apply_line("fault crash node=1 at=5 for=inf", &error));
   EXPECT_NE(error.find("fault for 'inf' is not a positive duration"), std::string::npos)
+      << error;
+  EXPECT_FALSE(spec.apply_line("fault crash node=4294967296 at=5 for=1", &error));  // once node 0
+  EXPECT_NE(error.find("fault node '4294967296' is not a non-negative int"), std::string::npos)
       << error;
   // None of the rejected lines may leave a partial entry behind.
   EXPECT_TRUE(spec.faults.empty());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace vrc::util {
 namespace {
 
@@ -90,11 +93,15 @@ TEST(FlagSetTest, UnknownFlagFails) {
 }
 
 TEST(FlagSetTest, BadIntFails) {
-  FlagSet flags;
-  int value = 0;
-  flags.add_int("count", &value, "");
-  auto argv = argv_of({"--count=abc"});
-  EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+  // 4294967296 once wrapped to 0 through a long long.
+  for (const char* arg : {"--count=abc", "--count=4294967296", "--count=-2147483649"}) {
+    FlagSet flags;
+    int value = 0;
+    flags.add_int("count", &value, "");
+    auto argv = argv_of({arg});
+    EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data())) << arg;
+    EXPECT_EQ(value, 0) << arg;
+  }
 }
 
 TEST(FlagSetTest, MissingValueFails) {
@@ -195,6 +202,19 @@ TEST(FlagSetTest, NegativeSeparateValueIsConsumedAsValue) {
   EXPECT_TRUE(flags.positional().empty());
 }
 
+TEST(FlagSetTest, BoolTakesTheSharedSpellings) {
+  for (const auto& [arg, expected] : std::vector<std::pair<const char*, bool>>{
+           {"--verbose=yes", true}, {"--verbose=on", true}, {"--verbose=no", false},
+           {"--verbose=off", false}}) {
+    FlagSet flags;
+    bool value = !expected;
+    flags.add_bool("verbose", &value, "");
+    auto argv = argv_of({arg});
+    ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data())) << arg;
+    EXPECT_EQ(value, expected) << arg;
+  }
+}
+
 TEST(FlagSetTest, BoolRejectsGarbageValue) {
   FlagSet flags;
   bool value = false;
@@ -223,12 +243,15 @@ TEST(FlagSetTest, Int64OverflowFails) {
 }
 
 TEST(FlagSetTest, TrailingJunkAfterNumberFails) {
-  FlagSet flags;
-  double value = 1.0;
-  flags.add_double("ratio", &value, "");
-  auto argv = argv_of({"--ratio=2.5x"});
-  EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_DOUBLE_EQ(value, 1.0);
+  // nan and inf are no more a number of the run than 2.5x is.
+  for (const char* arg : {"--ratio=2.5x", "--ratio=nan", "--ratio=inf"}) {
+    FlagSet flags;
+    double value = 1.0;
+    flags.add_double("ratio", &value, "");
+    auto argv = argv_of({arg});
+    EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()), argv.data())) << arg;
+    EXPECT_DOUBLE_EQ(value, 1.0) << arg;
+  }
 }
 
 TEST(FlagSetTest, ScientificNotationDoubleParses) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace vrc {
 namespace {
 
@@ -100,6 +108,132 @@ TEST(ParseDurationTest, RejectsNonFiniteNumbers) {
   EXPECT_FALSE(parse_bytes("nanKB", &bytes));
   EXPECT_EQ(seconds, 7.0);
   EXPECT_EQ(bytes, 7);
+}
+
+// One row per input: what parse_int<T> / parse_real / parse_bool make of it.
+// `accepted` false means the call returns false and leaves *out untouched.
+struct ScalarCase {
+  const char* type;  // "int", "uint32", "size", "int64", "uint64", "real", "bool"
+  std::string text;
+  bool accepted;
+  long double expected = 0;  // the parsed value when accepted (bool: 0/1); exact in T
+};
+
+std::ostream& operator<<(std::ostream& os, const ScalarCase& c) {
+  return os << c.type << " '" << c.text << "'";
+}
+
+template <typename T>
+void check_parse(const ScalarCase& c, bool (*parse)(const std::string&, T*)) {
+  const T sentinel = static_cast<T>(7);
+  T out = sentinel;
+  EXPECT_EQ(parse(c.text, &out), c.accepted) << c;
+  if (c.accepted) {
+    EXPECT_EQ(out, static_cast<T>(c.expected)) << c;
+  } else {
+    EXPECT_EQ(out, sentinel) << c;
+  }
+}
+
+class ParseScalarTest : public ::testing::TestWithParam<ScalarCase> {};
+
+TEST_P(ParseScalarTest, AcceptsOrRejects) {
+  const ScalarCase& c = GetParam();
+  const std::string type = c.type;
+  if (type == "int") check_parse<int>(c, &parse_int<int>);
+  if (type == "uint32") check_parse<std::uint32_t>(c, &parse_int<std::uint32_t>);
+  if (type == "size") check_parse<std::size_t>(c, &parse_int<std::size_t>);
+  if (type == "int64") check_parse<long long>(c, &parse_int<long long>);
+  if (type == "uint64") check_parse<std::uint64_t>(c, &parse_int<std::uint64_t>);
+  if (type == "real") check_parse<double>(c, &parse_real);
+  if (type == "bool") {
+    bool out = false;
+    EXPECT_EQ(parse_bool(c.text, &out), c.accepted) << c;
+    if (c.accepted) {
+      EXPECT_EQ(out, c.expected != 0) << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Units, ParseScalarTest,
+    ::testing::Values(
+        // Accepted forms, one destination type at a time.
+        ScalarCase{"int", "42", true, 42}, ScalarCase{"int", "-5", true, -5},
+        ScalarCase{"int", "+3", true, 3}, ScalarCase{"int", " 8", true, 8},
+        ScalarCase{"int", "2147483647", true, 2147483647.0L},
+        ScalarCase{"int", "-2147483648", true, -2147483648.0L},
+        ScalarCase{"uint32", "4294967295", true, 4294967295.0L},
+        ScalarCase{"size", "0", true, 0},
+        ScalarCase{"int64", "-9000000000", true, -9000000000.0L},
+        ScalarCase{"uint64", "18446744073709551615", true, 18446744073709551615.0L},
+        ScalarCase{"uint64", "+9", true, 9},
+        ScalarCase{"real", "0.25", true, 0.25L}, ScalarCase{"real", "2", true, 2},
+        ScalarCase{"real", "-1.5", true, -1.5L}, ScalarCase{"real", "125e-3", true, 0.125L},
+        ScalarCase{"bool", "1", true, 1}, ScalarCase{"bool", "true", true, 1},
+        ScalarCase{"bool", "on", true, 1}, ScalarCase{"bool", "yes", true, 1},
+        ScalarCase{"bool", "0", true, 0}, ScalarCase{"bool", "false", true, 0},
+        ScalarCase{"bool", "off", true, 0}, ScalarCase{"bool", "no", true, 0},
+        // Out of the destination's range.
+        ScalarCase{"int", "2147483648", false}, ScalarCase{"int", "-2147483649", false},
+        ScalarCase{"uint32", "4294967296", false},
+        ScalarCase{"int64", "9223372036854775808", false},
+        ScalarCase{"uint64", "18446744073709551616", false},
+        // Signed text for unsigned destinations (strtoull would wrap it).
+        ScalarCase{"uint64", "-1", false}, ScalarCase{"uint64", " -1", false},
+        ScalarCase{"uint32", "-0", false}, ScalarCase{"size", "-4", false},
+        // Non-finite and out-of-range reals.
+        ScalarCase{"real", "nan", false}, ScalarCase{"real", "-nan", false},
+        ScalarCase{"real", "inf", false}, ScalarCase{"real", "-INFINITY", false},
+        ScalarCase{"real", "1e400", false}, ScalarCase{"real", "-1e400", false},
+        // Trailing junk, and numbers of the wrong kind.
+        ScalarCase{"int", "12abc", false}, ScalarCase{"int", "5 ", false},
+        ScalarCase{"int", "1.5", false}, ScalarCase{"int", "0x10", false},
+        ScalarCase{"uint64", "9z", false}, ScalarCase{"real", "2.5x", false},
+        ScalarCase{"real", "1,5", false}, ScalarCase{"bool", "maybe", false},
+        ScalarCase{"bool", "TRUE", false}, ScalarCase{"bool", " 1", false},
+        // Empty and blank text.
+        ScalarCase{"int", "", false}, ScalarCase{"uint32", "", false},
+        ScalarCase{"size", "", false}, ScalarCase{"int64", " ", false},
+        ScalarCase{"uint64", "", false}, ScalarCase{"real", "", false},
+        ScalarCase{"bool", "", false}));
+
+TEST(ParseRealTest, KeepsStrtodBits) {
+  // Every value the scenario goldens use must convert to exactly the double
+  // std::strtod gives, so parse_real cannot move a fingerprint.
+  for (const char* text : {"0.85", "0.9", "1.4", "0.03", "400", "233", "1e-3", "0.1", "2.5"}) {
+    double parsed = 0.0;
+    ASSERT_TRUE(parse_real(text, &parsed)) << text;
+    const double reference = std::strtod(text, nullptr);
+    EXPECT_EQ(std::memcmp(&parsed, &reference, sizeof parsed), 0) << text;
+  }
+}
+
+TEST(SplitParamsTest, KeepsOrderDuplicatesAndEqualsInValues) {
+  ParamPairs pairs;
+  std::string bad;
+  ASSERT_TRUE(split_params("b=2,a=1,b=3,expr=x=y,empty=", &pairs, &bad));
+  EXPECT_EQ(pairs,
+            (ParamPairs{{"b", "2"}, {"a", "1"}, {"b", "3"}, {"expr", "x=y"}, {"empty", ""}}));
+}
+
+TEST(SplitParamsTest, ReportsTheFirstMalformedItem) {
+  for (const auto& [text, item] : std::vector<std::pair<std::string, std::string>>{
+           {"a=1,flag,b=2", "flag"}, {"a=1,=2", "=2"}, {"a=1,,b=2", ""}, {"", ""}}) {
+    ParamPairs pairs;
+    std::string bad = "unset";
+    EXPECT_FALSE(split_params(text, &pairs, &bad)) << text;
+    EXPECT_EQ(bad, item) << text;
+  }
+}
+
+TEST(ParseBytesTest, RejectsQuantitiesPastTheInt64Range) {
+  Bytes out = 5;
+  EXPECT_FALSE(parse_bytes("8589934592GB", &out));  // 2^63 bytes
+  EXPECT_FALSE(parse_bytes("1e30", &out));
+  EXPECT_EQ(out, 5);
+  EXPECT_TRUE(parse_bytes("8589934591GB", &out));
+  EXPECT_EQ(out, 8589934591LL * kGiB);
 }
 
 }  // namespace

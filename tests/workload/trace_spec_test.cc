@@ -8,6 +8,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workload/trace_generator.h"
 
@@ -73,6 +75,21 @@ TEST(TraceSpecTest, ParseRejectsUnknownGroupKeysAndValues) {
   EXPECT_FALSE(TraceSpec::parse("spec:trace=1,seed=soon", &error).has_value());
   EXPECT_FALSE(TraceSpec::parse("spec:trace=1,nodes=0", &error).has_value());
   EXPECT_FALSE(TraceSpec::parse("spec:trace=1,name=", &error).has_value());
+  // Values that once wrapped or went through as NaN: trace 2^32+3 ran as
+  // trace 3, and a NaN arrival scale aborted the lognormal sampler.
+  for (const auto& [spec_text, value] : std::vector<std::pair<std::string, std::string>>{
+           {"spec:trace=4294967299", "'4294967299' for 'trace'"},
+           {"spec:trace=1,arrival_scale=nan", "'nan' for 'arrival_scale'"},
+           {"spec:trace=1,malleable=1,malleable_min=4294967297",
+            "'4294967297' for 'malleable_min'"},
+           {"spec:trace=1,malleable_alpha=inf", "'inf' for 'malleable_alpha'"},
+           {"spec:trace=1,nodes=4294967296", "'4294967296' for 'nodes'"},
+           {"spec:trace=1,seed= -1", "' -1' for 'seed'"},
+           {"spec:jobs=10,duration=100,arrival_scale=1e400", "'1e400' for 'arrival_scale'"},
+           {"swf:file=x.swf,scale=nan", "'nan' for 'scale'"}}) {
+    EXPECT_FALSE(TraceSpec::parse(spec_text, &error).has_value()) << spec_text;
+    EXPECT_NE(error.find("invalid value " + value), std::string::npos) << error;
+  }
   EXPECT_FALSE(TraceSpec::parse("spec:trace", &error).has_value());
   EXPECT_NE(error.find("not key=value"), std::string::npos) << error;
   EXPECT_FALSE(TraceSpec::parse("spec:trace=1,trace=2", &error).has_value());
